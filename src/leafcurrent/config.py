@@ -1,11 +1,10 @@
 """Experiment configuration: schema-validated JSON documents.
 
 A run is configured by a single JSON document (see ``schema.json``, shipped
-both as package data and under ``docs/``).  Complex numbers are two-element
-arrays ``[re, im]``; ambient points are pairs of complex numbers.  Every
-field is optional: the resolved configuration is the documented default
-suite deep-merged with the user document, so a config file only needs the
-fields it overrides.
+as package data).  Complex numbers are two-element arrays ``[re, im]``;
+ambient points are pairs of complex numbers.  Every field is optional: the
+resolved configuration is the documented default suite deep-merged with the
+user document, so a config file only needs the fields it overrides.
 
 Malformed documents raise :class:`ConfigError` carrying a line/field
 diagnostic — JSON syntax errors report the line and column, schema and

@@ -28,7 +28,6 @@ __all__ = [
     "BoundaryProfile",
     "CurrentSpec",
     "IntegrabilityReport",
-    "poisson_kernel",
     "poisson_eval",
     "profile_extension",
     "triangle_profile",
@@ -97,12 +96,6 @@ class BoundaryProfile:
                     f"declared decay exponent {self.decay_exponent} is not "
                     f"supported by sampled values (weighted max {weighted.max():.3g})"
                 )
-
-
-def poisson_kernel(y, U, V):
-    """Upper-half-plane Poisson kernel ``V / (pi ((y-U)^2 + V^2))``."""
-    y = np.asarray(y, dtype=float)
-    return V / (math.pi * ((y - U) ** 2 + V * V))
 
 
 def poisson_eval(

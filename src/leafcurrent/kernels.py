@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .geometry import Singularity, power_polar
-from .quadrature import DecayDescriptor, QuadResult, Tolerance, integrate_1d, integrate_2d
+from .quadrature import DecayDescriptor, QuadratureError, QuadResult, Tolerance, integrate_1d, integrate_2d
 
 __all__ = [
     "RegimeThresholds",
@@ -601,7 +601,7 @@ def _evaluate_grid(sing, s_grid, y_grid, tol) -> list[KernelCell]:
                 cells.append(
                     KernelCell(s=s, y=y, K=res.value, K_err=res.error_estimate, bound_ratio=res.value / env, ok=True)
                 )
-            except Exception as err:  # keep the sweep alive; flag the cell
+            except QuadratureError as err:  # keep the sweep alive; flag the cell
                 cells.append(
                     KernelCell(s=s, y=y, K=math.nan, K_err=math.nan, bound_ratio=math.nan, ok=False, message=str(err))
                 )

@@ -18,10 +18,11 @@ set where that quantity is at most ``r^2``, a curved quadrant asymptotic to
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .currents import BoundaryProfile, CurrentSpec, profile_extension
 from .geometry import Singularity, power_polar
@@ -233,11 +234,7 @@ def mass_profile(
     r_grid=None,
     tol: Tolerance | None = None,
 ) -> MassProfile:
-    """Evaluate ``F`` and ``G`` over a strictly decreasing radius grid.
-
-    Grid points are independent and evaluated concurrently; assembly is
-    deterministic (ordered by the grid).
-    """
+    """Evaluate ``F`` and ``G`` over a strictly decreasing radius grid."""
     grid = tuple(float(r) for r in (default_r_grid() if r_grid is None else r_grid))
     if not grid:
         raise ValueError("radius grid must be nonempty")
@@ -246,8 +243,7 @@ def mass_profile(
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("radius grid must be strictly decreasing")
 
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        results = list(pool.map(lambda r: mass_F(spec, sing, r, tol), grid))
+    results = [mass_F(spec, sing, r, tol) for r in grid]
 
     F = tuple(res.value for res in results)
     G = tuple(res.value / (r * r) for res, r in zip(results, grid))
@@ -306,13 +302,7 @@ def g_profile(sing: Singularity, s: float, y: float, tol: Tolerance | None = Non
     return k.value * (1.0 + abs(y)) ** (1.0 - 1.0 / sing.gamma)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+_gl = cache(leggauss)
 
 
 def _boundary_edges(profile: BoundaryProfile) -> list[float]:

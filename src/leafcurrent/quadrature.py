@@ -1,6 +1,6 @@
 """Adaptive quadrature with explicit error accounting.
 
-Three entry points:
+Two entry points:
 
 * :func:`integrate_1d` -- adaptive 1D integration on finite, half-infinite, or
   full-line intervals, with caller-supplied break points (peaks, kinks).
@@ -10,7 +10,6 @@ Three entry points:
   a closed-form tail bound sits below the absolute tolerance, the interior is
   handled by adaptive tensor Gauss-Legendre panels, and the tail bound is added
   to the reported error estimate.
-* :func:`monte_carlo` -- seeded mean estimation with a standard-error estimate.
 
 Error estimates are indicators, not guarantees.  Every result records the
 number of integrand evaluations; non-convergence raises
@@ -35,8 +34,6 @@ __all__ = [
     "DecayDescriptor",
     "integrate_1d",
     "integrate_2d",
-    "monte_carlo",
-    "exp_tail_moment",
 ]
 
 
@@ -138,32 +135,6 @@ def integrate_1d(
         # budget (e.g. roundoff chatter on a denormal-range tail) is benign
         raise QuadratureError("; ".join(warnings_), best=result)
     return result
-
-
-def monte_carlo(
-    f: Callable[..., np.ndarray],
-    sampler: Callable[[np.random.Generator, int], tuple],
-    n: int,
-    seed: int,
-) -> QuadResult:
-    """Estimate ``E[f(X)]`` with ``n`` seeded draws.
-
-    ``sampler(rng, n)`` returns a tuple of arrays (one per argument of ``f``);
-    the error estimate is the standard error of the mean.  Identical seeds give
-    identical results.
-    """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    args = sampler(rng, n)
-    if not isinstance(args, tuple):
-        args = (args,)
-    vals = np.asarray(f(*args), dtype=float)
-    if vals.shape != (n,):
-        raise ValueError("f must return one value per sample")
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n))
-    return QuadResult(mean, stderr, n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +304,3 @@ def integrate_2d(
         evals[0],
         meta={"min_cut": m_cut, "max_cut": x_cut},
     )
-
-
-def exp_tail_moment(s0: float, tol: Tolerance | None = None) -> float:
-    """Compute ``integral_{s0}^inf s * exp(2*s0 - 2*s) ds`` by quadrature.
-
-    The closed form is ``s0/2 + 1/4``; the quadrature route exists so the
-    engine can be checked against it.
-    """
-    if not s0 > 0.0:
-        raise ValueError("need s0 > 0")
-    res = integrate_1d(lambda x: x * math.exp(2.0 * s0 - 2.0 * x), s0, math.inf, tol)
-    return res.value

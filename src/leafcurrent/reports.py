@@ -83,8 +83,6 @@ def format_number(value) -> str:
 
 
 def _write_json(value, out: list, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
     if value is None:
         out.append("null")
     elif isinstance(value, bool):
@@ -93,31 +91,24 @@ def _write_json(value, out: list, indent: int, level: int) -> None:
         out.append(format_number(value))
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=True))
-    elif isinstance(value, Mapping):
-        items = sorted(value.items())
-        if not items:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (key, item) in enumerate(items):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string mapping key {key!r}")
-            out.append(f"\n{pad}{json.dumps(key, ensure_ascii=True)}: ")
+    elif isinstance(value, (Mapping, list, tuple)):
+        # indent == 0 is the compact form: no newlines, no space after ":"
+        if isinstance(value, Mapping):
+            brackets, items = "{}", []
+            for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError(f"non-string mapping key {key!r}")
+                items.append((json.dumps(key, ensure_ascii=True) + (": " if indent else ":"), item))
+        else:
+            brackets, items = "[]", [("", item) for item in value]
+        pad = "\n" + " " * (indent * (level + 1)) if indent else ""
+        out.append(brackets[0])
+        for i, (prefix, item) in enumerate(items):
+            out.append(("," if i else "") + pad + prefix)
             _write_json(item, out, indent, level + 1)
-            if i + 1 < len(items):
-                out.append(",")
-        out.append(f"\n{closing}}}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, item in enumerate(value):
-            out.append(f"\n{pad}")
-            _write_json(item, out, indent, level + 1)
-            if i + 1 < len(value):
-                out.append(",")
-        out.append(f"\n{closing}]")
+        if items and indent:
+            out.append("\n" + " " * (indent * level))
+        out.append(brackets[1])
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -129,44 +120,9 @@ def dumps_canonical(value, indent: int = 0) -> str:
     positive ``indent`` pretty-prints (same bytes for the same input
     either way, since key order and number formatting are fixed).
     """
-    if indent == 0:
-        out: list = []
-        _write_compact(value, out)
-        return "".join(out)
-    out = []
+    out: list = []
     _write_json(value, out, indent, 0)
     return "".join(out)
-
-
-def _write_compact(value, out: list) -> None:
-    if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, float)):
-        out.append(format_number(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=True))
-    elif isinstance(value, Mapping):
-        out.append("{")
-        for i, (key, item) in enumerate(sorted(value.items())):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string mapping key {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _write_compact(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _write_compact(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def config_hash(resolved: Mapping) -> str:

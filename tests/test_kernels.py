@@ -40,7 +40,7 @@ from leafcurrent.kernels import (
     rho_solver,
     scale_factor,
 )
-from leafcurrent.quadrature import Tolerance
+from leafcurrent.quadrature import QuadratureError, QuadResult, Tolerance
 
 RATIO_SQUARE = normalize_singularity(1, 1j)  # gamma = 2
 RATIO_SHALLOW = normalize_singularity(1, 1 + 1j)  # gamma = 4/3
@@ -178,6 +178,26 @@ def test_kernel_report_refinement_drift_small():
     assert report.refinement_drift is not None
     assert report.refinement_drift < 0.10
     assert report.refined_empirical_c is not None
+
+
+def test_kernel_report_flags_quadrature_failures_and_raises_bugs(monkeypatch):
+    def fake_kernel(sing, s, y, tol=None):
+        if y == 10.0:
+            raise QuadratureError("budget gone", best=QuadResult(0.0, 1.0, 100))
+        return QuadResult(1.0, 1e-9, 100)
+
+    monkeypatch.setattr("leafcurrent.kernels.kernel_K", fake_kernel)
+    report = kernel_report(RATIO_SQUARE, s_grid=(2.0,), y_grid=(0.0, 10.0))
+    (failed,) = report.failed_cells
+    assert (failed.y, failed.ok, failed.message) == (10.0, False, "budget gone")
+    assert math.isnan(failed.K)
+
+    def broken_kernel(sing, s, y, tol=None):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr("leafcurrent.kernels.kernel_K", broken_kernel)
+    with pytest.raises(TypeError, match="programming error"):
+        kernel_report(RATIO_SQUARE, s_grid=(2.0,), y_grid=(0.0, 10.0))
 
 
 def test_kernel_report_validates_grids():

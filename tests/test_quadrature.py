@@ -21,10 +21,8 @@ from leafcurrent.quadrature import (
     DecayDescriptor,
     QuadratureError,
     Tolerance,
-    exp_tail_moment,
     integrate_1d,
     integrate_2d,
-    monte_carlo,
 )
 
 TIGHT = Tolerance(rel_tol=1e-10, abs_tol=1e-12, max_evals=2_000_000)
@@ -37,11 +35,6 @@ def test_exponential_moment_closed_form(s0):
     res = integrate_1d(lambda x: x * math.exp(2 * s0 - 2 * x), s0, math.inf, tol=TIGHT)
     assert res.value == pytest.approx(s0 / 2 + 0.25, abs=1e-8)
     assert res.error_estimate < 1e-8
-
-
-@pytest.mark.parametrize("s0", [1.0, 2.0, 10.0])
-def test_exp_tail_moment_helper(s0):
-    assert exp_tail_moment(s0, TIGHT) == pytest.approx(s0 / 2 + 0.25, abs=1e-8)
 
 
 def test_sine_arch():
@@ -111,20 +104,6 @@ def test_budget_exhaustion_raises_with_best_estimate():
     best = exc.value.best
     assert best is not None
     assert best.value == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-2)
-
-
-def test_monte_carlo_mean_and_reproducibility():
-    def sampler(rng, n):
-        return rng.random(n), rng.random(n)
-
-    res = monte_carlo(lambda x, y: x * y, sampler, 200_000, seed=42)
-    assert res.value == pytest.approx(0.25, abs=5 * res.error_estimate)
-    assert res.error_estimate < 1e-3
-    again = monte_carlo(lambda x, y: x * y, sampler, 200_000, seed=42)
-    assert again.value == res.value
-    assert again.error_estimate == res.error_estimate
-    other = monte_carlo(lambda x, y: x * y, sampler, 200_000, seed=43)
-    assert other.value != res.value
 
 
 def test_tolerance_validation():
