@@ -96,8 +96,8 @@ class _RunState:
     def mass_tolerance(self) -> Tolerance | None:
         """Explicit tolerance only when the config overrides the default.
 
-        The mass quadrature has a tuned two-phase default; an explicit
-        tolerance switches it to the single-phase literal mode.
+        The mass quadrature's default is relative to the mass itself; an
+        explicit tolerance replaces it literally.
         """
         if self.cfg.resolved["tolerances"] == default_document()["tolerances"]:
             return None
@@ -409,3 +409,7 @@ def run_command(argv) -> int:
 
 def main(argv=None) -> None:
     sys.exit(run_command(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,13 @@ dominated-convergence argument for that limit.
 Ball membership on a leaf is exact: in leaf coordinates the squared distance
 to the origin is ``e^{-2v} + e^{-2t}``, so the region of integration is the
 set where that quantity is at most ``r^2``, a curved quadrant asymptotic to
-``{min(v, t) >= -log r}``.
+``{min(v, t) >= -log r}``.  ``mass_F`` splits it at the diagonal ``t = v``:
+with ``x = max(t, v)`` and ``m = min(t, v)`` each half is
+``{x >= -log r + log(2)/2, lower(x) <= m <= x}`` with a bounded exact lower
+boundary, and both halves are integrated together on adaptive
+Gauss-Legendre panels in ``(x, m)``, each evaluated by vectorized numpy
+calls over a few thousand points and refined by the panel engine of
+:func:`~leafcurrent.quadrature.integrate_2d`.
 """
 
 from __future__ import annotations
@@ -29,9 +35,12 @@ from .geometry import Singularity, power_polar
 from .kernels import kernel_K
 from .quadrature import (
     DecayDescriptor,
+    QuadratureError,
     QuadResult,
     Tolerance,
-    integrate_1d,
+    _ladder,
+    _refine_panels,
+    _truncate_corner,
     integrate_2d,
 )
 
@@ -54,84 +63,151 @@ def default_r_grid(levels: int = 12) -> tuple[float, ...]:
     return tuple(2.0**-k for k in range(1, levels + 1))
 
 
-def _extension_at(profile: BoundaryProfile, sing: Singularity, u: float, v: float) -> float:
-    U, V = power_polar(complex(u, v), sing.gamma)
-    return float(profile_extension(profile, float(U), float(V)))
+_gl = cache(leggauss)
+
+# Inner ladder in ``w = m - lower(x)``: half-unit steps where the weight
+# ``e^{-2w}`` carries most of the mass, then steps of 2 out to the cut.
+_W_LADDER = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
-def _mass_one_profile(
-    profile: BoundaryProfile,
-    sing: Singularity,
-    r: float,
-    outer_tol: Tolerance,
-    inner_tol: Tolerance,
+def _w_edges(w_cut: float, s_r: float) -> np.ndarray:
+    # below w = 1/2 the steps also stay within ``m = s_r + w`` itself: near a
+    # sector edge (m -> 0) the extension varies on the scale of m
+    edges = [0.0]
+    while 2.0 * edges[-1] + s_r < 0.5:
+        edges.append(2.0 * edges[-1] + s_r)
+    edges += [e for e in _W_LADDER if e < w_cut]
+    while edges[-1] + 2.0 < w_cut:
+        edges.append(edges[-1] + 2.0)
+    return np.array([*edges, w_cut])
+
+
+def _ball_mass(
+    profile: BoundaryProfile, sing: Singularity, r: float, tol: Tolerance
 ) -> QuadResult:
-    """``(2/b) iint_{ball} ext(U,V) (e^{-2v} + |lam|^2 e^{-2t}) dt dv``."""
+    """``(2/b) iint_{ball} ext(U,V) (e^{-2v} + |lam|^2 e^{-2t}) dt dv`` on GL panels.
+
+    The ball region is symmetric about the diagonal ``t = v``, which meets its
+    boundary at ``d = -log r + log(2)/2``.  With ``x = max(t, v)`` and
+    ``m = min(t, v)`` both halves become ``{x >= d, lower(x) <= m <= x}``, where
+    ``lower`` is the exact boundary, bounded for ``x >= d``; one pass over
+    that set integrates the symmetrized integrand ``f(x, m) + f(m, x)``.
+    A panel ``[x0, x1] x [w0, w1]`` in ``(x, w = m - lower(x))`` is a tensor
+    rule: Gauss-Legendre nodes in ``x`` times a composite rule on the ladder
+    in ``w``, clipped at the diagonal ``w = x - lower(x)``.  A panel's error
+    is the 8-vs-16-node difference in ``x`` plus the 8-vs-16-node difference
+    of the inner rule at the 8 outer nodes; the worst panel is halved in the
+    direction whose error dominates.  The truncations in ``x`` and ``w``
+    carry the closed-form tail bounds of the envelope
+    ``A e^{-1.5 (m + log r)} (1 + x)^{-p}``, with ``p = gamma + 1`` or
+    ``gamma * beta`` for a boundary profile decaying like ``|y|^{-beta}``.
+    """
     s_r = -math.log(r)
-    a, b = sing.a, sing.b
+    d = s_r + 0.5 * math.log(2.0)
+    a, b, gamma = sing.a, sing.b, sing.gamma
     lam_sq = abs(sing.lam) ** 2
+    front = 2.0 / b
     evals = [0]
 
-    def v_lower(t: float) -> float:
-        # exact ball boundary: e^{-2v} = r^2 - e^{-2t}, stable near t = s_r
-        return s_r - 0.5 * math.log(-math.expm1(-2.0 * (t - s_r)))
+    def f(t, v):
+        evals[0] += int(np.size(t))
+        u = (t - a * v) / b
+        U, V = power_polar(u + 1j * v, gamma)
+        ext = np.asarray(profile_extension(profile, U, V), dtype=float)
+        return front * ext * (np.exp(-2.0 * v) + lam_sq * np.exp(-2.0 * t))
 
-    def outer(t: float) -> float:
-        if t <= s_r + 1e-300:
-            return 0.0
-        lo = v_lower(t)
-        dead_t = lam_sq * math.exp(-2.0 * t)
+    def lower(x):
+        # exact ball boundary: e^{-2m} = r^2 - e^{-2x}, stable near x = s_r
+        return s_r - 0.5 * np.log(-np.expm1(-2.0 * (x - s_r)))
 
-        def f(v: float) -> float:
-            if math.hypot(t, v) > 1e60:
-                return 0.0
-            u = (t - a * v) / b
-            speed_sq = math.exp(-2.0 * v) + dead_t
-            if speed_sq == 0.0:
-                return 0.0
-            return _extension_at(profile, sing, u, v) * speed_sq
+    def inner(xs, n, w0, w1, ladder):
+        """Integral over ``w`` in ``[w0, min(w1, x - lower(x))]`` at each outer node.
 
-        # near part on the natural scale; far part in log coordinates, where
-        # the algebraic tail of the harmonic extension decays exponentially
-        cut = lo + 5.0
-        near = integrate_1d(f, lo, cut, tol=inner_tol, break_points=[lo + 1.0])
+        ``n`` nodes on each ladder segment inside ``[w0, w1]``.
+        """
+        lo = lower(xs)
+        top = xs - lo
+        edges = np.concatenate(([w0], ladder[(ladder > w0) & (ladder < w1)], [w1]))
+        k = min(int(np.searchsorted(edges, top.max())), len(edges) - 1)
+        e0 = np.minimum(edges[:k], top[:, None])
+        e1 = np.minimum(edges[1 : k + 1], top[:, None])
+        half = 0.5 * (e1 - e0)
+        nodes, weights = _gl(n)
+        w = (0.5 * (e0 + e1))[..., None] + half[..., None] * nodes
+        X = np.broadcast_to(xs[:, None, None], w.shape)
+        M = lo[:, None, None] + w
+        return ((f(X, M) + f(M, X)) @ weights * half).sum(axis=1)
 
-        def f_log(x: float) -> float:
-            if x > 700.0:
-                return 0.0
-            v = math.exp(x)
-            return f(v) * v
+    inner_dominates = {}
 
-        far = integrate_1d(f_log, math.log(cut), math.inf, tol=inner_tol)
-        evals[0] += near.evaluations + far.evaluations
-        return near.value + far.value
+    def rule(panel, ladder):
+        x0, x1, w0, w1 = panel
+        mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+        nodes_hi, w_hi = _gl(16)
+        nodes_lo, w_lo = _gl(8)
+        hi = half * float(w_hi @ inner(mid + half * nodes_hi, 16, w0, w1, ladder))
+        coarse_x = mid + half * nodes_lo
+        fine_w = inner(coarse_x, 16, w0, w1, ladder)
+        outer_err = abs(hi - half * float(w_lo @ fine_w))
+        inner_err = half * float(w_lo @ np.abs(fine_w - inner(coarse_x, 8, w0, w1, ladder)))
+        inner_dominates[panel] = inner_err > outer_err
+        return hi, outer_err + inner_err
 
-    # same split for the outer variable: its integrand inherits an algebraic
-    # tail in t from the extension's far field
-    t_cut = s_r + 20.0
-    near_out = integrate_1d(
-        outer,
+    p = gamma + 1.0
+    if profile.support_bound is None and math.isfinite(profile.decay_exponent):
+        p = min(p, gamma * profile.decay_exponent)
+    if not p > 1.0:
+        raise QuadratureError(
+            f"the mass diverges: the {profile.label} profile decays like "
+            f"|y|^-{profile.decay_exponent:g}, not faster than |y|^-1/gamma",
+            best=QuadResult(math.inf, math.inf, 0),
+        )
+    # the integrand is nonnegative, so the corner panel's value bounds the
+    # total from below and sets the tails' share of the relative tolerance;
+    # the diagonal keeps it below w = 2, so the cut does not matter there
+    corner = (d, d + 1.0, 0.0, 5.0)
+    corner_value, corner_err = rule(corner, _w_edges(5.0, s_r))
+    m_cut, x_cut, tail_w, tail_x = _truncate_corner(
+        f,
         s_r,
-        t_cut,
-        tol=outer_tol,
-        break_points=[s_r + 0.5 * math.log(2.0), s_r + 2.0],
+        DecayDescriptor(exp_rate=1.5, alg_rate=p),
+        max(tol.abs_tol, tol.rel_tol * corner_value),
+        s_r + 5.0,
+        s_r + 10.0,
     )
+    w_cut = m_cut - s_r
+    ladder = _w_edges(w_cut, s_r)
+    x_edges = _ladder(d, x_cut)
+    scored = [(corner, corner_value, corner_err)]
+    for x0, x1 in zip(x_edges[1:-1], x_edges[2:]):
+        panel = (x0, x1, 0.0, w_cut)
+        scored.append((panel, *rule(panel, ladder)))
 
-    def outer_log(x: float) -> float:
-        if x > 700.0:
-            return 0.0
-        t = math.exp(x)
-        return outer(t) * t
+    def split(panel):
+        x0, x1, w0, w1 = panel
+        if not inner_dominates.pop(panel):
+            mid = 0.5 * (x0 + x1)
+            return [(x0, mid, w0, w1), (mid, x1, w0, w1)]
+        # halve the w-range at a ladder edge when it holds one; the diagonal
+        # reaches that level at xm, where the x-range is cut as well so that
+        # no panel's diagonal clip starts or stops inside it
+        w_top = min(w1, x1 - lower(x1))
+        inside = ladder[(ladder > w0) & (ladder < w_top)]
+        wm = float(inside[len(inside) // 2]) if len(inside) else 0.5 * (w0 + w_top)
+        xm = s_r + 0.5 * math.log1p(math.exp(2.0 * wm))
+        if xm <= x0:
+            return [(x0, x1, w0, wm), (x0, x1, wm, w1)]
+        return [(x0, xm, w0, wm), (xm, x1, w0, wm), (xm, x1, wm, w1)]
 
-    far_out = integrate_1d(outer_log, math.log(t_cut), math.inf, tol=outer_tol)
-    value = near_out.value + far_out.value
-    out_err = near_out.error_estimate + far_out.error_estimate
-    scale = 2.0 / b
-    # inner quadratures contribute at most their relative tolerance of the
-    # total on top of the outer estimate
-    err = scale * (out_err + abs(value) * 10.0 * inner_tol.rel_tol)
-    total_evals = near_out.evaluations + far_out.evaluations + evals[0]
-    return QuadResult(scale * value, err, total_evals)
+    return _refine_panels(
+        lambda panel: rule(panel, ladder),
+        split,
+        scored,
+        tol,
+        lambda: evals[0],
+        (tail_w, tail_x),
+        None,
+    )
 
 
 def mass_F(
@@ -142,29 +218,17 @@ def mass_F(
     Sums, over the distinct boundary profiles weighted by the transverse
     measure, the integral of the harmonic leaf density against the leaf area
     element ``(e^{-2v} + |lam|^2 e^{-2t}) * 2 du dv`` over the exact ball
-    region.  Nonnegative, and nondecreasing in ``r``.
+    region.  Nonnegative, and nondecreasing in ``r``.  The default tolerance
+    is relative, ``1e-8``, with an absolute floor of ``1e-16 r^2``.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     spec.validate_against(sing)
     if tol is None:
-        r_sq = r * r
-        probe_outer = Tolerance(rel_tol=1e-4, abs_tol=1e-8 * r_sq, max_evals=2_000_000)
-        probe_inner = Tolerance(rel_tol=1e-6, abs_tol=1e-10 * r_sq, max_evals=2_000_000)
-        probe = 0.0
-        for profile, weight in spec.effective_profiles():
-            probe += weight * _mass_one_profile(profile, sing, r, probe_outer, probe_inner).value
-        floor = max(1e-9 * abs(probe), 1e-16 * r_sq)
-        outer_tol = Tolerance(rel_tol=1e-8, abs_tol=floor, max_evals=4_000_000)
-        inner_tol = Tolerance(rel_tol=1e-9, abs_tol=floor * 1e-2, max_evals=4_000_000)
-    else:
-        outer_tol = tol
-        inner_tol = Tolerance(
-            rel_tol=tol.rel_tol / 10.0, abs_tol=tol.abs_tol / 100.0, max_evals=tol.max_evals
-        )
+        tol = Tolerance(rel_tol=1e-8, abs_tol=1e-16 * r * r, max_evals=4_000_000)
     total, err, evals = 0.0, 0.0, 0
     for profile, weight in spec.effective_profiles():
-        one = _mass_one_profile(profile, sing, r, outer_tol, inner_tol)
+        one = _ball_mass(profile, sing, r, tol)
         total += weight * one.value
         err += abs(weight) * one.error_estimate
         evals += one.evaluations
@@ -301,8 +365,6 @@ def g_profile(sing: Singularity, s: float, y: float, tol: Tolerance | None = Non
     k = kernel_K(sing, s, y, tol)
     return k.value * (1.0 + abs(y)) ** (1.0 - 1.0 / sing.gamma)
 
-
-_gl = cache(leggauss)
 
 
 def _boundary_edges(profile: BoundaryProfile) -> list[float]:

@@ -204,6 +204,76 @@ def _probe_amplitude(f, s, m_cut, x_lo, x_hi, q, p) -> float:
     return 4.0 * amp
 
 
+def _truncate_corner(
+    f, s: float, decay: DecayDescriptor, target: float, m_cut: float, x_cut: float
+) -> tuple[float, float, float, float]:
+    """Cut points of ``{min(t, v) >= s}`` and the closed-form tail bounds beyond them.
+
+    Under the envelope ``A e^{-q (min - s)} (1 + max)^{-p}`` of ``decay`` (``A``
+    probed through ``f`` unless given), the max-direction cut doubles until
+    the algebraic tail bound over ``{max > x_cut}`` is at most ``target/4``;
+    the min-direction cut then grows in steps of 5, never past the max cut,
+    until the exponential tail bound over ``{min > m_cut}`` is too.  Both
+    bounds count the two orientations ``(t, v)`` and ``(v, t)``.  Returns
+    ``(m_cut, x_cut, tail_exp, tail_alg)``.
+    """
+    q, p = decay.exp_rate, decay.alg_rate
+    A = 0.0
+    for _ in range(80):
+        A = (
+            decay.amplitude
+            if decay.amplitude is not None
+            else _probe_amplitude(f, s, m_cut, x_cut, 8.0 * x_cut, q, p)
+        )
+        tail_alg = 2.0 * A * (1.0 + x_cut) ** (1.0 - p) / (q * (p - 1.0))
+        if tail_alg <= 0.25 * target or A == 0.0:
+            break
+        x_cut *= 2.0
+
+    def exp_tail(mc: float) -> float:
+        return 2.0 * A * (1.0 + mc) ** (1.0 - p) * math.exp(-q * (mc - s)) / (q * (p - 1.0))
+
+    while exp_tail(m_cut) > 0.25 * target and m_cut + 5.0 < x_cut:
+        m_cut += 5.0
+    return m_cut, x_cut, exp_tail(m_cut), tail_alg
+
+
+def _refine_panels(rule, split, scored, tol: Tolerance, evals, tails, meta) -> QuadResult:
+    """Adaptive panel refinement shared by the panel integrators.
+
+    ``scored`` lists the initial panels as ``(panel, value, error)``;
+    ``rule(panel)`` scores a new panel the same way and ``split(panel)``
+    returns the panels that replace it.  The panel with the largest error is
+    split until the summed panel errors meet
+    ``max(abs_tol/2, rel_tol*|value|)``.  The closed-form ``tails`` are added
+    to the reported error; ``evals()`` is the running evaluation count, and
+    exceeding ``max_evals`` raises :class:`QuadratureError` carrying the
+    current estimate.
+    """
+    heap: list[tuple[float, int, tuple, float, float]] = []
+    counter = 0
+    for panel, value, err in scored:
+        heapq.heappush(heap, (-err, counter, panel, value, err))
+        counter += 1
+
+    while True:
+        value = sum(item[3] for item in heap)
+        err = sum(item[4] for item in heap)
+        converged = err <= max(0.5 * tol.abs_tol, tol.rel_tol * abs(value))
+        if converged or evals() > tol.max_evals:
+            for tail in tails:
+                err += tail
+            result = QuadResult(value, err, evals(), meta=meta)
+            if converged:
+                return result
+            raise QuadratureError("evaluation budget exhausted", best=result)
+        panel = heapq.heappop(heap)[2]
+        for half in split(panel):
+            value, err = rule(half)
+            heapq.heappush(heap, (-err, counter, half, value, err))
+            counter += 1
+
+
 def integrate_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     s: float,
@@ -221,86 +291,44 @@ def integrate_2d(
     tol = _as_tol(tol)
     if not s > 0.0:
         raise ValueError("need s > 0")
-    q, p = decay.exp_rate, decay.alg_rate
     evals = [0]
 
     def fc(T, V):
         evals[0] += int(np.size(T))
         return f(T, V)
 
-    # --- min-direction cut
     m_cut = s + max(10.0, -0.5 * math.log(tol.abs_tol))
-
-    # --- max-direction cut: grow until the algebraic tail bound is small enough
     x_cut = max(m_cut + 1.0, s + 10.0)
-    A = 0.0
-    for _ in range(80):
-        A = (
-            decay.amplitude
-            if decay.amplitude is not None
-            else _probe_amplitude(fc, s, m_cut, x_cut, 8.0 * x_cut, q, p)
-        )
-        tail_alg = 2.0 * A * (1.0 + x_cut) ** (1.0 - p) / (q * (p - 1.0))
-        if tail_alg <= 0.25 * tol.abs_tol or A == 0.0:
-            break
-        x_cut *= 2.0
+    m_cut, x_cut, tail_exp, tail_alg = _truncate_corner(fc, s, decay, tol.abs_tol, m_cut, x_cut)
 
-    # exponential tail beyond the min-cut; extend the cut if needed
-    def exp_tail(mc: float) -> float:
-        return 2.0 * A * (1.0 + mc) ** (1.0 - p) * math.exp(-q * (mc - s)) / (q * (p - 1.0))
+    nodes_lo, w_lo = _GL_LO
+    nodes_hi, w_hi = _GL_HI
 
-    while exp_tail(m_cut) > 0.25 * tol.abs_tol and m_cut + 5.0 < x_cut:
-        m_cut += 5.0
-    tail_exp = exp_tail(m_cut)
+    def rule(rect):
+        lo = _panel_rule(fc, *rect, nodes_lo, w_lo)
+        hi = _panel_rule(fc, *rect, nodes_hi, w_hi)
+        return hi, abs(hi - lo)
+
+    def split(rect):
+        t0, t1, v0, v1 = rect
+        if (t1 - t0) >= (v1 - v0):
+            mid = 0.5 * (t0 + t1)
+            return [(t0, mid, v0, v1), (mid, t1, v0, v1)]
+        mid = 0.5 * (v0 + v1)
+        return [(t0, t1, v0, mid), (t0, t1, mid, v1)]
 
     # --- interior: L-shaped region as two rectangles
     rects = [(s, m_cut, s, x_cut)]
     if x_cut > m_cut:
         rects.append((m_cut, x_cut, s, m_cut))
-
-    nodes_lo, w_lo = _GL_LO
-    nodes_hi, w_hi = _GL_HI
-    heap: list[tuple[float, int, tuple[float, float, float, float], float, float]] = []
-    counter = 0
+    scored = []
     for (t0, t1, v0, v1) in rects:
         for e0, e1 in zip(_ladder(t0, t1)[:-1], _ladder(t0, t1)[1:]):
             for g0, g1 in zip(_ladder(v0, v1)[:-1], _ladder(v0, v1)[1:]):
-                lo = _panel_rule(fc, e0, e1, g0, g1, nodes_lo, w_lo)
-                hi = _panel_rule(fc, e0, e1, g0, g1, nodes_hi, w_hi)
-                heapq.heappush(heap, (-abs(hi - lo), counter, (e0, e1, g0, g1), hi, abs(hi - lo)))
-                counter += 1
+                rect = (e0, e1, g0, g1)
+                scored.append((rect, *rule(rect)))
 
-    def totals():
-        val = sum(item[3] for item in heap)
-        err = sum(item[4] for item in heap)
-        return val, err
-
-    while True:
-        value, interior_err = totals()
-        target = max(0.5 * tol.abs_tol, tol.rel_tol * abs(value))
-        if interior_err <= target:
-            break
-        if evals[0] > tol.max_evals:
-            best = QuadResult(value, interior_err + tail_exp + tail_alg, evals[0],
-                              meta={"min_cut": m_cut, "max_cut": x_cut})
-            raise QuadratureError("evaluation budget exhausted", best=best)
-        _, _, (t0, t1, v0, v1), _, _ = heapq.heappop(heap)
-        if (t1 - t0) >= (v1 - v0):
-            mid = 0.5 * (t0 + t1)
-            halves = [(t0, mid, v0, v1), (mid, t1, v0, v1)]
-        else:
-            mid = 0.5 * (v0 + v1)
-            halves = [(t0, t1, v0, mid), (t0, t1, mid, v1)]
-        for rect in halves:
-            lo = _panel_rule(fc, *rect, nodes_lo, w_lo)
-            hi = _panel_rule(fc, *rect, nodes_hi, w_hi)
-            heapq.heappush(heap, (-abs(hi - lo), counter, rect, hi, abs(hi - lo)))
-            counter += 1
-
-    value, interior_err = totals()
-    return QuadResult(
-        value,
-        interior_err + tail_exp + tail_alg,
-        evals[0],
-        meta={"min_cut": m_cut, "max_cut": x_cut},
+    return _refine_panels(
+        rule, split, scored, tol, lambda: evals[0], (tail_exp, tail_alg),
+        {"min_cut": m_cut, "max_cut": x_cut},
     )

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import leafcurrent
 from leafcurrent.cli import run_command
 from leafcurrent.config import (
     ConfigError,
@@ -374,6 +378,21 @@ def test_quadrature_failure_exits_1_with_flagged_partial_reports(tmp_path, capsy
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert meta["warnings"]  # the failure is flagged, exactly once per message
     assert len(meta["warnings"]) == len(set(meta["warnings"]))
+
+
+def test_module_entry_point_runs_the_cli(tmp_path) -> None:
+    # `python -m leafcurrent` must run the CLI, not import it and exit silently
+    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "leafcurrent", "oracle", "--format", "json", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "report.json").read_text())
+    assert [t["name"] for t in doc["tables"]] == ["oracle"]
 
 
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch, capsys) -> None:

@@ -28,6 +28,7 @@ import pytest
 
 from leafcurrent.currents import (
     CurrentSpec,
+    algebraic_profile,
     builtin_currents,
     cauchy_profile,
     default_current,
@@ -44,7 +45,7 @@ from leafcurrent.mass import (
     mass_upper_intermediate,
     profile_decay_slope,
 )
-from leafcurrent.quadrature import Tolerance
+from leafcurrent.quadrature import QuadratureError, Tolerance
 
 RATIO_SQUARE = normalize_singularity(1, 1j)  # gamma = 2
 RATIO_SHALLOW = normalize_singularity(1, 1 + 1j)  # gamma = 4/3
@@ -66,6 +67,16 @@ PINNED_HALF = {
     "shallow": 0.1890229502087623,
     "steep": 0.0032655133357143416,
 }
+
+
+# Regression pins for the cauchy current at lambda = i, carried over from the
+# earlier nested scalar-quadrature route (relative tolerance 1e-8).
+PINNED_CAUCHY_SQUARE = {
+    2.0**-2: 0.030994725290759653,
+    2.0**-12: 6.7331010591521155e-09,
+}
+
+RATIOS = {"square": RATIO_SQUARE, "shallow": RATIO_SHALLOW, "steep": RATIO_STEEP}
 
 
 def triangle_current(sing):
@@ -121,6 +132,44 @@ def test_triangle_mass_matches_dense_oracle(label, sing):
     tol = 0.02 if label == "square" else 5e-3
     assert value == pytest.approx(oracle, rel=tol)
     assert value == pytest.approx(PINNED_HALF[label], rel=1e-6)
+
+
+@pytest.mark.parametrize("r", sorted(PINNED_CAUCHY_SQUARE))
+def test_cauchy_mass_matches_pinned_values(r):
+    cur = default_current(RATIO_SQUARE, cauchy_profile())
+    assert mass_F(cur, RATIO_SQUARE, r).value == pytest.approx(PINNED_CAUCHY_SQUARE[r], rel=1e-8)
+
+
+@pytest.mark.parametrize("label", sorted(RATIOS))
+@pytest.mark.parametrize("current", ["cauchy", "triangle"])
+@pytest.mark.parametrize("r", [0.5, 2.0**-12])
+def test_mass_error_estimate_covers_tight_tolerance_error(label, current, r):
+    sing = RATIOS[label]
+    spec = builtin_currents(sing)[current]
+    res = mass_F(spec, sing, r)
+    tight = mass_F(
+        spec, sing, r, tol=Tolerance(rel_tol=1e-12, abs_tol=1e-20 * r * r, max_evals=4_000_000)
+    )
+    assert tight.error_estimate < res.error_estimate
+    assert res.error_estimate >= abs(res.value - tight.value)
+
+
+def test_mass_budget_exhaustion_raises_with_best_estimate():
+    cur = default_current(RATIO_SQUARE, cauchy_profile())
+    with pytest.raises(QuadratureError) as info:
+        mass_F(cur, RATIO_SQUARE, 0.5, tol=Tolerance(rel_tol=1e-12, abs_tol=1e-20, max_evals=100))
+    best = info.value.best
+    assert best is not None
+    assert best.evaluations > 100
+    assert best.value == pytest.approx(mass_F(cur, RATIO_SQUARE, 0.5).value, rel=1e-3)
+
+
+def test_mass_of_too_slowly_decaying_profile_is_reported_divergent():
+    # beta = 0.3 <= 1/gamma = 0.5: the boundary integrability functional
+    # diverges, so the current has infinite mass near the origin
+    cur = default_current(RATIO_SQUARE, algebraic_profile(exponent=0.3))
+    with pytest.raises(QuadratureError, match="diverges"):
+        mass_F(cur, RATIO_SQUARE, 0.5)
 
 
 def test_square_ratio_mass_is_within_two_permille_of_oracle():
