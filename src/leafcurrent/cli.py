@@ -97,7 +97,8 @@ class _RunState:
         """Explicit tolerance only when the config overrides the default.
 
         The mass quadrature's default is relative to the mass itself; an
-        explicit tolerance replaces it literally.
+        explicit tolerance replaces it, with ``mass_profile`` applying its
+        absolute target to ``G = F/r^2``.
         """
         if self.cfg.resolved["tolerances"] == default_document()["tolerances"]:
             return None

@@ -591,20 +591,19 @@ def _refine_y(y_grid: list[float]) -> list[float]:
     return sorted(set(out))
 
 
-def _evaluate_grid(sing, s_grid, y_grid, tol) -> list[KernelCell]:
+def _evaluate_grid(sing, points, tol) -> list[KernelCell]:
     cells = []
-    for s in s_grid:
-        for y in y_grid:
-            env = bound_envelope(sing, s, y)
-            try:
-                res = kernel_K(sing, s, y, tol)
-                cells.append(
-                    KernelCell(s=s, y=y, K=res.value, K_err=res.error_estimate, bound_ratio=res.value / env, ok=True)
-                )
-            except QuadratureError as err:  # keep the sweep alive; flag the cell
-                cells.append(
-                    KernelCell(s=s, y=y, K=math.nan, K_err=math.nan, bound_ratio=math.nan, ok=False, message=str(err))
-                )
+    for s, y in points:
+        env = bound_envelope(sing, s, y)
+        try:
+            res = kernel_K(sing, s, y, tol)
+            cells.append(
+                KernelCell(s=s, y=y, K=res.value, K_err=res.error_estimate, bound_ratio=res.value / env, ok=True)
+            )
+        except QuadratureError as err:  # keep the sweep alive; flag the cell
+            cells.append(
+                KernelCell(s=s, y=y, K=math.nan, K_err=math.nan, bound_ratio=math.nan, ok=False, message=str(err))
+            )
     return cells
 
 
@@ -620,7 +619,9 @@ def kernel_report(
     ``empirical_c`` is the sup of ``bound_ratio`` over successful cells.
     With ``refine=True`` both grids are refined by a factor 2 (midpoint
     insertion) and the relative change of the sup is reported as
-    ``refinement_drift``.  Failed cells are flagged, never dropped silently.
+    ``refinement_drift``; the refined grids contain the coarse ones, whose
+    cells are reused rather than recomputed.  Failed cells are flagged,
+    never dropped silently.
     """
     s_grid = sorted(float(s) for s in s_grid)
     y_grid = sorted(float(y) for y in y_grid)
@@ -628,7 +629,7 @@ def kernel_report(
         raise ValueError("grids must be nonempty")
     if s_grid[0] <= 0:
         raise ValueError("s values must be positive")
-    cells = _evaluate_grid(sing, s_grid, y_grid, tol)
+    cells = _evaluate_grid(sing, [(s, y) for s in s_grid for y in y_grid], tol)
     ratios = [c.bound_ratio for c in cells if c.ok]
     if not ratios:
         raise RuntimeError("all kernel cells failed")
@@ -637,11 +638,11 @@ def kernel_report(
     drift = None
     refined_c = None
     if refine:
-        fine_cells = _evaluate_grid(sing, _refine_s(s_grid), _refine_y(y_grid), tol)
-        fine_ratios = [c.bound_ratio for c in fine_cells if c.ok]
-        if fine_ratios:
-            refined_c = max(fine_ratios)
-            drift = abs(refined_c - empirical_c) / empirical_c
+        coarse = {(c.s, c.y) for c in cells}
+        fine = [(s, y) for s in _refine_s(s_grid) for y in _refine_y(y_grid) if (s, y) not in coarse]
+        fine_ratios = [c.bound_ratio for c in _evaluate_grid(sing, fine, tol) if c.ok]
+        refined_c = max([empirical_c, *fine_ratios])
+        drift = abs(refined_c - empirical_c) / empirical_c
     return KernelReport(
         cells=tuple(cells),
         empirical_c=empirical_c,

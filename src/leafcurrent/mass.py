@@ -18,13 +18,16 @@ with ``x = max(t, v)`` and ``m = min(t, v)`` each half is
 boundary, and both halves are integrated together on adaptive
 Gauss-Legendre panels in ``(x, m)``, each evaluated by vectorized numpy
 calls over a few thousand points and refined by the panel engine of
-:func:`~leafcurrent.quadrature.integrate_2d`.
+:func:`~leafcurrent.quadrature.integrate_2d`: each round splits the fewest
+worst panels whose errors cover the excess over the tolerance, and the
+per-panel rule and split are mapped over that round's list (a panel is
+already a few thousand points, so it is not stacked with others).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -178,10 +181,8 @@ def _ball_mass(
     w_cut = m_cut - s_r
     ladder = _w_edges(w_cut, s_r)
     x_edges = _ladder(d, x_cut)
-    scored = [(corner, corner_value, corner_err)]
-    for x0, x1 in zip(x_edges[1:-1], x_edges[2:]):
-        panel = (x0, x1, 0.0, w_cut)
-        scored.append((panel, *rule(panel, ladder)))
+    panels = [corner] + [(x0, x1, 0.0, w_cut) for x0, x1 in zip(x_edges[1:-1], x_edges[2:])]
+    scores = [(corner_value, corner_err)] + [rule(panel, ladder) for panel in panels[1:]]
 
     def split(panel):
         x0, x1, w0, w1 = panel
@@ -200,9 +201,10 @@ def _ball_mass(
         return [(x0, xm, w0, wm), (xm, x1, w0, wm), (xm, x1, wm, w1)]
 
     return _refine_panels(
-        lambda panel: rule(panel, ladder),
+        lambda batch: np.array([rule(panel, ladder) for panel in batch]).T,
         split,
-        scored,
+        panels,
+        np.array(scores).T,
         tol,
         lambda: evals[0],
         (tail_w, tail_x),
@@ -298,7 +300,12 @@ def mass_profile(
     r_grid=None,
     tol: Tolerance | None = None,
 ) -> MassProfile:
-    """Evaluate ``F`` and ``G`` over a strictly decreasing radius grid."""
+    """Evaluate ``F`` and ``G`` over a strictly decreasing radius grid.
+
+    An explicit ``tol`` targets ``G = F/r^2``: its ``abs_tol`` is scaled by
+    ``r^2`` at each radius before it reaches :func:`mass_F`, so the same
+    tolerance means the same accuracy in ``G`` at every radius.
+    """
     grid = tuple(float(r) for r in (default_r_grid() if r_grid is None else r_grid))
     if not grid:
         raise ValueError("radius grid must be nonempty")
@@ -307,7 +314,10 @@ def mass_profile(
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("radius grid must be strictly decreasing")
 
-    results = [mass_F(spec, sing, r, tol) for r in grid]
+    results = [
+        mass_F(spec, sing, r, None if tol is None else replace(tol, abs_tol=tol.abs_tol * r * r))
+        for r in grid
+    ]
 
     F = tuple(res.value for res in results)
     G = tuple(res.value / (r * r) for res, r in zip(results, grid))

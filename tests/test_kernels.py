@@ -106,6 +106,24 @@ def test_kernel_matches_dense_riemann_sum():
     assert got.value == pytest.approx(0.283092839704, rel=1e-5)
 
 
+# Regression pins at the configuration's tolerance, from the heap-based panel
+# refinement that preceded round-based refinement: value and evaluation count.
+CONFIG_TOL = Tolerance(rel_tol=1e-8, abs_tol=1e-10, max_evals=2_000_000)
+PINNED_KERNEL = [
+    (RATIO_SQUARE, 1.0, 0.0, 0.36132861651663034, 581712),
+    (RATIO_SQUARE, 8.0, 10.0, 0.058949520492463006, 337872),
+    (RATIO_SHALLOW, 64.0, -1000.0, 0.16315855091063736, 153408),
+    (RATIO_STEEP, 8.0, 10.0, 3.867243666390427e-05, 54192),
+]
+
+
+@pytest.mark.parametrize("sing, s, y, value, evaluations", PINNED_KERNEL)
+def test_kernel_matches_pinned_values(sing, s, y, value, evaluations):
+    got = kernel_K(sing, s, y, CONFIG_TOL)
+    assert got.value == pytest.approx(value, rel=1e-12)
+    assert got.evaluations <= evaluations
+
+
 def test_kernel_two_coordinate_routes_agree():
     cases = [
         (RATIO_SQUARE, 1.0, 0.0),
@@ -198,6 +216,20 @@ def test_kernel_report_flags_quadrature_failures_and_raises_bugs(monkeypatch):
     monkeypatch.setattr("leafcurrent.kernels.kernel_K", broken_kernel)
     with pytest.raises(TypeError, match="programming error"):
         kernel_report(RATIO_SQUARE, s_grid=(2.0,), y_grid=(0.0, 10.0))
+
+
+def test_kernel_report_refinement_reuses_coarse_cells(monkeypatch):
+    calls = []
+
+    def counting_kernel(sing, s, y, tol=None):
+        calls.append((s, y))
+        return QuadResult(1.0 / (1.0 + s + abs(y)), 1e-9, 100)
+
+    monkeypatch.setattr("leafcurrent.kernels.kernel_K", counting_kernel)
+    report = kernel_report(RATIO_SQUARE, s_grid=(1.0, 4.0, 16.0), y_grid=(-10.0, 0.0, 10.0), refine=True)
+    fine = {(s, y) for s in (1.0, 2.0, 4.0, 8.0, 16.0) for y in (-10.0, -5.0, 0.0, 5.0, 10.0)}
+    assert sorted(calls) == sorted(fine)
+    assert report.refinement_drift is not None
 
 
 def test_kernel_report_validates_grids():

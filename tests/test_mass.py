@@ -346,6 +346,16 @@ def test_profile_is_immutable(cauchy_profile_6):
         cauchy_profile_6.lelong_estimate = 0.0
 
 
+def test_explicit_profile_tolerance_targets_G():
+    # the absolute target of an explicit tolerance applies to G = F/r^2, so
+    # the smallest radius keeps its relative accuracy
+    cur = default_current(RATIO_SQUARE, cauchy_profile())
+    grid = (2.0**-2, 2.0**-12)
+    explicit = mass_profile(cur, RATIO_SQUARE, grid, tol=Tolerance(1e-8, 1e-10, 2_000_000))
+    default = mass_profile(cur, RATIO_SQUARE, grid)
+    assert explicit.G == pytest.approx(default.G, rel=1e-7)
+
+
 def test_explicit_tolerance_is_honoured():
     cur = default_current(RATIO_SQUARE, cauchy_profile())
     loose = mass_F(cur, RATIO_SQUARE, 0.5, tol=Tolerance(rel_tol=1e-5, abs_tol=1e-9, max_evals=500_000))

@@ -59,13 +59,19 @@ def test_cauchy_density_normalizes():
 
 
 def test_2d_exponential_closed_form():
+    sizes = []
+
     def f(t, v):
+        sizes.append(np.size(t))
         return np.exp(2.0 - 2.0 * np.minimum(t, v)) * np.exp(-t - v)
 
     res = integrate_2d(f, 1.0, EXP_DECAY, TOL_2D)
     exact = math.exp(-2.0) / 2.0
     assert res.value == pytest.approx(exact, rel=1e-8)
     assert abs(res.value - exact) <= 10 * max(res.error_estimate, 1e-12)
+    # panels are scored in stacks of at most 16 (16 x 320 points per call)
+    assert max(sizes) <= 5120
+    assert sum(sizes) == res.evaluations
 
 
 def test_2d_algebraic_closed_form():
