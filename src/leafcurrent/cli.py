@@ -61,7 +61,7 @@ from .kernels import (
 )
 from .mass import mass_profile
 from .quadrature import QuadratureError, Tolerance
-from .recurrence import recurrence_report, uniformize_leaf
+from .recurrence import recurrence_report, uniformize_leaf, visibility_rows
 from .reports import ReportBundle, Table, config_hash, emit_reports, format_number, tool_version
 
 __all__ = ["build_parser", "run_command", "main"]
@@ -244,38 +244,33 @@ def _run_recurrence(state: _RunState) -> None:
         uni = uniformize_leaf(sing, alpha, zeta)
     except ValueError as exc:
         raise ConfigError(f"config error at recurrence: {exc}") from None
-    horizon_rows = None
-    decay = None
-    for index, target in enumerate(cfg.recurrence.targets):
-        rng = (
-            np.random.default_rng((cfg.seed, index))
-            if rec.monte_carlo
-            else None
-        )
-        report = recurrence_report(
-            uni,
-            r_grid=cfg.r_grid,
-            R_grid=cfg.R_grid,
-            horizon=rec.horizon,
-            n_t=rec.n_t,
-            n_theta=rec.n_theta,
-            rng=rng,
-            target=target,
+
+    def rng_for(index: int):
+        return np.random.default_rng((cfg.seed, index)) if rec.monte_carlo else None
+
+    # the horizon rows and the decay fit do not depend on the target: the
+    # first target's report carries them, the other targets add visibility only
+    report = recurrence_report(
+        uni,
+        r_grid=cfg.r_grid,
+        R_grid=cfg.R_grid,
+        horizon=rec.horizon,
+        n_t=rec.n_t,
+        n_theta=rec.n_theta,
+        rng=rng_for(0),
+        target=rec.targets[0],
+    )
+    for index, target in enumerate(rec.targets):
+        rows = report.visibility_rows if index == 0 else visibility_rows(
+            uni, target, cfg.r_grid, rec.horizon, n_t=rec.n_t, n_theta=rec.n_theta, rng=rng_for(index)
         )
         state.tables.append(
-            Table(
-                f"recurrence_visibility_{_target_tag(index, target)}",
-                ("r", "N", "N_log"),
-                report.visibility_rows,
-            )
+            Table(f"recurrence_visibility_{_target_tag(index, target)}", ("r", "N", "N_log"), rows)
         )
-        if horizon_rows is None:
-            horizon_rows = report.horizon_rows
-            decay = report.decay_fit
     state.tables.append(
-        Table("recurrence_horizon", ("R", "M_R", "deviation", "mass"), horizon_rows)
+        Table("recurrence_horizon", ("R", "M_R", "deviation", "mass"), report.horizon_rows)
     )
-    state.tables.append(Table("recurrence_decay", ("circle_gap_slope",), ((decay,),)))
+    state.tables.append(Table("recurrence_decay", ("circle_gap_slope",), ((report.decay_fit,),)))
 
 
 _RUNNERS = {

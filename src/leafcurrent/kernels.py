@@ -90,9 +90,23 @@ class RegimeThresholds:
         return RegimeThresholds(c2=2.0 * self.c2, c3=2.0 * self.c3)
 
 
+def _libm_pow(x, p: float):
+    """``x ** p`` through the C library's ``pow``, elementwise on arrays.
+
+    On scalars ``**`` already calls ``pow``; numpy's array ``power`` (SVML on
+    AVX-512 builds) differs from it in the last bit for about 5% of inputs.
+    The regime functions use this so that their array form reproduces their
+    scalar form bit for bit.
+    """
+    if np.ndim(x) == 0:
+        return x**p
+    x = np.asarray(x, dtype=float)
+    return np.fromiter((e**p for e in x.flat), dtype=float, count=x.size).reshape(x.shape)
+
+
 def scale_factor(sing: Singularity, y) -> np.ndarray:
     """Comparability scale ``(1 + |y|)^{1/gamma}``."""
-    return (1.0 + np.abs(np.asarray(y, dtype=float))) ** (1.0 / sing.gamma)
+    return _libm_pow(1.0 + np.abs(np.asarray(y, dtype=float)), 1.0 / sing.gamma)
 
 
 def bound_envelope(sing: Singularity, s: float, y: float) -> float:
@@ -102,14 +116,21 @@ def bound_envelope(sing: Singularity, s: float, y: float) -> float:
     return head * min(1.0, (Y / s) ** (sing.gamma - 1.0))
 
 
+def _sector_power(sing: Singularity, v, t):
+    """``(U, V)`` of ``(u + iv)^gamma`` at sector coordinates ``(v, t)``:
+    :func:`power_polar`'s operations with :func:`_libm_pow` for the power."""
+    u = (t - sing.a * v) / sing.b
+    rho = np.hypot(u, v)
+    theta = np.arctan2(v, u)
+    rg = _libm_pow(rho, sing.gamma)
+    return rg * np.cos(sing.gamma * theta), rg * np.sin(sing.gamma * theta)
+
+
 def poisson_density(sing: Singularity, v, t, y):
     """Poisson value ``V / (V^2 + (y - U)^2)`` at the sector point with
-    coordinates ``(v, t)`` (vectorized)."""
-    v = np.asarray(v, dtype=float)
-    t = np.asarray(t, dtype=float)
-    u = (t - sing.a * v) / sing.b
-    U, V = power_polar(u + 1j * v, sing.gamma)
-    return V / (V * V + (np.asarray(y, dtype=float) - U) ** 2)
+    coordinates ``(v, t)`` (vectorized; arrays give the scalar form's bits)."""
+    U, V = _sector_power(sing, np.asarray(v, dtype=float), np.asarray(t, dtype=float))
+    return V / (V * V + _libm_pow(np.asarray(y, dtype=float) - U, 2.0))
 
 
 _KERNEL_MAX_EVALS = 6_000_000
@@ -289,27 +310,32 @@ def classify_regime(
 def regime_comparator(
     sing: Singularity,
     regime: str,
-    v: float,
-    t: float,
-    y: float,
+    v,
+    t,
+    y,
     thresholds: RegimeThresholds | None = None,
-) -> float:
-    """Elementary comparator the Poisson value is squeezed against."""
+):
+    """Elementary comparator the Poisson value is squeezed against.
+
+    Elementwise on arrays, with the same bits as scalar calls; a scalar call
+    returns a ``float``.
+    """
     thresholds = thresholds or RegimeThresholds()
-    mn, mx = (v, t) if v <= t else (t, v)
+    mn, mx = np.minimum(v, t), np.maximum(v, t)
     if regime == "far":
-        return mn / mx ** (sing.gamma + 1.0)
-    if regime == "near-origin":
-        u = (t - sing.a * v) / sing.b
-        _, V = power_polar(complex(u, v), sing.gamma)
-        return float(V) / (1.0 + abs(y)) ** 2
-    if regime == "diagonal":
-        return 1.0 / (1.0 + abs(y))
-    if regime == "boundary-strip":
+        out = mn / _libm_pow(mx, sing.gamma + 1.0)
+    elif regime == "near-origin":
+        _, V = _sector_power(sing, v, t)
+        out = V / _libm_pow(1.0 + abs(y), 2.0)
+    elif regime == "diagonal":
+        out = 1.0 / (1.0 + abs(y))
+    elif regime == "boundary-strip":
         rho = rho_solver(sing, y, mn, thresholds=thresholds)
-        head = (1.0 + abs(y)) ** (1.0 / sing.gamma - 1.0)
-        return head * mn / (mn * mn + (mx - rho) ** 2)
-    raise ValueError(f"no comparator for regime {regime!r}")
+        head = _libm_pow(1.0 + abs(y), 1.0 / sing.gamma - 1.0)
+        out = head * mn / (mn * mn + _libm_pow(mx - rho, 2.0))
+    else:
+        raise ValueError(f"no comparator for regime {regime!r}")
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -323,11 +349,10 @@ class RegimeBand:
     thresholds: RegimeThresholds
 
 
-def _sample_y(rng: np.random.Generator, n: int, y_min: float, y_max: float) -> np.ndarray:
-    """Magnitudes log-uniform in [y_min, y_max], random sign."""
-    mag = np.exp(rng.uniform(math.log(y_min), math.log(y_max), n))
-    sign = rng.choice((-1.0, 1.0), n)
-    return mag * sign
+def _sample_y(rng: np.random.Generator, y_min: float, y_max: float) -> float:
+    """One height: magnitude log-uniform in [y_min, y_max], random sign."""
+    mag = float(np.exp(rng.uniform(math.log(y_min), math.log(y_max))))
+    return mag if rng.integers(0, 2) else -mag
 
 
 def regime_constant_sampler(
@@ -345,6 +370,12 @@ def regime_constant_sampler(
     the extreme ratios of the exact Poisson value to the comparator.  For the
     two threshold-free part-1 identities the "ratio" is the identity's middle
     expression itself.
+
+    The sequence of calls on ``np.random.default_rng(seed)`` is part of the
+    output contract: the bands of a seed stay the same only while every draw
+    is made by the same call, in the same order.  The draws come first, one
+    sample at a time; the density, the comparator and its level-crossing root
+    are then evaluated once on the whole sample.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
@@ -353,7 +384,6 @@ def regime_constant_sampler(
     gamma = sing.gamma
     rng = np.random.default_rng(seed)
 
-    ratios = np.empty(sample_count)
     if regime in ("part1-radius", "part1-height"):
         v = np.exp(rng.uniform(0.0, math.log(1e3), sample_count))
         t = np.exp(rng.uniform(0.0, math.log(1e3), sample_count))
@@ -364,71 +394,48 @@ def regime_constant_sampler(
             ratios = mx**gamma / np.hypot(U, V)
         else:
             ratios = mx ** (gamma - 1.0) * mn / V
-    else:
-        got = 0
-        guard = 0
-        while got < sample_count:
-            guard += 1
-            if guard > 200 * sample_count:
-                raise EmptyRegimeError(
-                    f"could not draw samples for regime {regime!r} with "
-                    f"thresholds c2={c2}, c3={c3} and y_max={y_max}"
-                )
+    elif regime in ("far", "near-origin", "diagonal", "boundary-strip"):
+        y_lo = 1.0
+        if regime in ("near-origin", "boundary-strip"):
+            # max <= Y/c2 with max >= 1 requires Y >= c2; min <= Y/c3 with
+            # min >= 1 requires Y >= c3
+            y_lo = max(1.0, (c2 if regime == "near-origin" else c3) ** gamma)
+            if y_lo >= y_max:
+                raise EmptyRegimeError(f"{regime} regime empty: needs |y| >= {y_lo:g} > y_max={y_max:g}")
+        inv_gamma = 1.0 / gamma
+        vs, ts, ys = np.empty(sample_count), np.empty(sample_count), np.empty(sample_count)
+        for k in range(sample_count):
+            if regime == "boundary-strip":
+                # the comparator's rho is defined on the v <= t branch with
+                # y > 0 (the level equation has its root there); the
+                # reflection swapping the sector's boundary rays flips the
+                # sign of U and exchanges the branches, so positive y on this
+                # branch covers both cases
+                y = math.exp(rng.uniform(math.log(y_lo), math.log(y_max)))
+            else:
+                y = _sample_y(rng, y_lo, y_max)
+            Y = (1.0 + abs(y)) ** inv_gamma  # scale_factor(sing, y), on a Python float
             if regime == "far":
-                y = float(_sample_y(rng, 1, 1.0, y_max)[0])
-                Y = float(scale_factor(sing, y))
                 lo = max(1.0, c2 * Y)
                 mx = lo * math.exp(rng.uniform(0.0, math.log(10.0)))
                 mn = math.exp(rng.uniform(0.0, math.log(mx)))
             elif regime == "near-origin":
-                # max <= Y/c2 with max >= 1 requires Y >= c2
-                y_lo = max(1.0, c2**gamma)
-                if y_lo >= y_max:
-                    raise EmptyRegimeError(
-                        f"near-origin regime empty: needs |y| >= {y_lo:g} > y_max={y_max:g}"
-                    )
-                y = float(_sample_y(rng, 1, y_lo, y_max)[0])
-                Y = float(scale_factor(sing, y))
                 mx = math.exp(rng.uniform(0.0, math.log(Y / c2)))
                 mn = math.exp(rng.uniform(0.0, math.log(mx))) if mx > 1.0 else 1.0
             elif regime == "diagonal":
-                y = float(_sample_y(rng, 1, 1.0, y_max)[0])
-                Y = float(scale_factor(sing, y))
-                lo = max(1.0, Y / c2)
                 hi = c2 * Y
-                if hi <= lo:
-                    continue
-                mn = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                mn = math.exp(rng.uniform(math.log(max(1.0, Y / c2)), math.log(hi)))
                 mx = math.exp(rng.uniform(math.log(mn), math.log(hi)))
-            elif regime == "boundary-strip":
-                # min <= Y/c3 with min >= 1 requires Y >= c3; the comparator's
-                # rho is defined on the v <= t branch with y > 0 (the level
-                # equation has its root there); the reflection swapping the
-                # sector's boundary rays flips the sign of U and exchanges the
-                # branches, so positive y on this branch covers both cases
-                y_lo = max(1.0, c3**gamma)
-                if y_lo >= y_max:
-                    raise EmptyRegimeError(
-                        f"boundary-strip regime empty: needs |y| >= {y_lo:g} > y_max={y_max:g}"
-                    )
-                y = math.exp(rng.uniform(math.log(y_lo), math.log(y_max)))
-                Y = float(scale_factor(sing, y))
-                mn = math.exp(rng.uniform(0.0, math.log(Y / c3)))
-                lo = max(Y / c2, mn)
-                hi = c2 * Y
-                mx = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-                ratios[got] = float(poisson_density(sing, mn, mx, y)) / regime_comparator(
-                    sing, regime, mn, mx, y, thresholds
-                )
-                got += 1
-                continue
             else:
-                raise ValueError(f"unknown regime {regime!r}")
-            v, t = (mn, mx) if rng.random() < 0.5 else (mx, mn)
-            dens = float(poisson_density(sing, v, t, y))
-            comp = regime_comparator(sing, regime, v, t, y, thresholds)
-            ratios[got] = dens / comp
-            got += 1
+                mn = math.exp(rng.uniform(0.0, math.log(Y / c3)))
+                hi = c2 * Y
+                mx = math.exp(rng.uniform(math.log(max(Y / c2, mn)), math.log(hi)))
+                vs[k], ts[k], ys[k] = mn, mx, y
+                continue
+            vs[k], ts[k], ys[k] = (mn, mx, y) if rng.random() < 0.5 else (mx, mn, y)
+        ratios = poisson_density(sing, vs, ts, ys) / regime_comparator(sing, regime, vs, ts, ys, thresholds)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
 
     sup_ratio = float(np.max(ratios))
     inf_ratio = float(np.min(ratios))
@@ -448,94 +455,127 @@ def regime_constant_sampler(
 # ---------------------------------------------------------------------------
 
 _LONG = np.longdouble
+_ROOT_MAX_STEPS = 200
 
 
-def power_real_residual(sing: Singularity, u: float, v: float, y: float) -> float:
-    """``Re((u + iv)^gamma) - y`` evaluated in extended precision."""
-    ul, vl = _LONG(u), _LONG(v)
+def power_real_residual(sing: Singularity, u, v, y):
+    """``Re((u + iv)^gamma) - y`` evaluated in extended precision (elementwise
+    on arrays; a scalar call returns a ``float``)."""
+    ul, vl = np.asarray(u, dtype=_LONG), np.asarray(v, dtype=_LONG)
     rho = np.hypot(ul, vl)
     theta = np.arctan2(vl, ul)
-    return float(rho**_LONG(sing.gamma) * np.cos(_LONG(sing.gamma) * theta) - _LONG(y))
+    out = (rho ** _LONG(sing.gamma) * np.cos(_LONG(sing.gamma) * theta) - np.asarray(y, dtype=_LONG)).astype(float)
+    return float(out) if out.ndim == 0 else out
+
+
+def _first(mask: np.ndarray, *arrays) -> tuple:
+    """Values at the first true element of ``mask``, for error messages."""
+    k = int(np.flatnonzero(mask)[0])
+    return tuple(float(a[k]) for a in arrays)
 
 
 def rho_solver(
     sing: Singularity,
-    y: float,
-    v: float,
+    y,
+    v,
     thresholds: RegimeThresholds | None = None,
-) -> float:
+):
     """Solve ``Re((u + iv)^gamma) = y`` along the level line of ``v`` and
     return ``rho = b u + a v`` (the ``t`` coordinate of the crossing).
 
     Implements the branch where ``v`` is the smaller coordinate (``v <= t``);
-    the swapped configuration follows by relabeling the inputs.  The real
-    part is strictly increasing in ``u`` on ``u >= v / tan(sector angle
-    /gamma)``... in practice on ``u > 0`` for angles below ``pi/(2 gamma)``,
-    so bisection on an expanding bracket is branch-safe; a final safeguarded
-    refinement drives the extended-precision residual to the floating floor.
+    the swapped configuration follows by relabeling the inputs.  From
+    ``u_lo = v / tan(pi/(2 gamma))``, where ``gamma arg(u + iv) = pi/2``, the
+    real part ``|tau|^gamma cos(gamma arg tau)`` is increasing and convex in
+    ``u``.  So the root is bracketed by doubling from there, located by
+    Newton steps that fall back to bisection whenever they leave the bracket,
+    and polished against the extended-precision residual down to the
+    floating floor.
+
+    ``y`` and ``v`` may be arrays (broadcast together): every element takes
+    the same path as a scalar call, and the call raises ``ValueError`` or
+    :class:`NoRootError` if any element fails.  A scalar call returns a
+    ``float``.
     """
     thresholds = thresholds or RegimeThresholds()
-    if not v >= 1.0:
-        raise ValueError("rho_solver requires v >= 1")
-    Y = float(scale_factor(sing, y))
-    if v > Y / thresholds.c3:
-        raise ValueError(
-            f"rho_solver requires v <= (1+|y|)^(1/gamma)/c3 = {Y / thresholds.c3:g}, got v={v:g}"
-        )
+    scalar = np.ndim(y) == 0 and np.ndim(v) == 0
+    y, v = np.broadcast_arrays(np.atleast_1d(np.asarray(y, dtype=float)), np.atleast_1d(np.asarray(v, dtype=float)))
+    below = ~(v >= 1.0)
+    if below.any():
+        raise ValueError(f"rho_solver requires v >= 1, got v={_first(below, v)[0]:g}")
+    Y = scale_factor(sing, y)
+    wide = v > Y / thresholds.c3
+    if wide.any():
+        width, got = _first(wide, Y / thresholds.c3, v)
+        raise ValueError(f"rho_solver requires v <= (1+|y|)^(1/gamma)/c3 = {width:g}, got v={got:g}")
     gamma = sing.gamma
 
-    def real_part(u: float) -> float:
-        U, _ = power_polar(complex(u, v), gamma)
-        return float(U)
+    def level(u):
+        """``Re((u+iv)^gamma) - y`` and its derivative in ``u``."""
+        rho_abs = np.hypot(u, v)
+        theta = np.arctan2(v, u)
+        value = rho_abs**gamma * np.cos(gamma * theta) - y
+        return value, gamma * rho_abs ** (gamma - 1.0) * np.cos((gamma - 1.0) * theta)
 
-    def f(u: float) -> float:
-        return real_part(u) - y
-
-    # Re(tau^gamma) = |tau|^gamma cos(gamma arg tau) is positive and increasing
-    # in u once gamma*arg(tau) < pi/2; bracket the root by expansion from there
-    u_lo = v / math.tan(math.pi / (2.0 * gamma)) if gamma > 1.0 else v
-    u_lo = max(u_lo, 1e-12)
-    if f(u_lo) > 0.0:
+    u_lo = np.maximum(v / math.tan(math.pi / (2.0 * gamma)) if gamma > 1.0 else v, 1e-12)
+    early = level(u_lo)[0] > 0.0
+    if early.any():
+        y0, v0 = _first(early, y, v)
         raise NoRootError(
-            f"Re((u+iv)^gamma) already exceeds y={y:g} at the start of the "
-            f"monotone ray (v={v:g}); no root on the v <= t branch"
+            f"Re((u+iv)^gamma) already exceeds y={y0:g} at the start of the "
+            f"monotone ray (v={v0:g}); no root on the v <= t branch"
         )
-    u_hi = max(2.0 * u_lo, 2.0 * Y, 2.0)
-    for _ in range(200):
-        if f(u_hi) > 0.0:
+    u_hi = np.maximum(np.maximum(2.0 * u_lo, 2.0 * Y), 2.0)
+    for _ in range(_ROOT_MAX_STEPS):
+        short = ~(level(u_hi)[0] > 0.0)
+        if not short.any():
             break
-        u_hi *= 2.0
+        u_hi = np.where(short, 2.0 * u_hi, u_hi)
     else:
-        raise NoRootError(f"no sign change found for y={y:g}, v={v:g}")
-    u_root = brentq(f, u_lo, u_hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+        raise NoRootError("no sign change found for y={:g}, v={:g}".format(*_first(short, y, v)))
 
-    # safeguarded Newton polish against the extended-precision residual:
-    # d/du Re((u+iv)^gamma) = gamma rho^{gamma-1} cos((gamma-1) theta)
-    best_u = u_root
-    best_res = abs(power_real_residual(sing, best_u, v, y))
+    # Newton from the upper end; an element stops moving once converged, so
+    # its root does not depend on the other elements of the batch
+    u = u_hi
+    active = np.ones(u.shape, dtype=bool)
+    for _ in range(_ROOT_MAX_STEPS):
+        value, slope = level(u)
+        u_lo = np.where(value <= 0.0, u, u_lo)
+        u_hi = np.where(value > 0.0, u, u_hi)
+        step = value / slope
+        newton = u - step
+        inside = (newton >= u_lo) & (newton <= u_hi)
+        converged = (inside & (np.abs(step) <= 1e-13 + 8.9e-16 * np.abs(u))) | (u_hi - u_lo <= 1e-13)
+        u = np.where(active, np.where(inside, newton, 0.5 * (u_lo + u_hi)), u)
+        active &= ~converged
+        if not active.any():
+            break
+    else:
+        raise NoRootError("level crossing did not converge for y={:g}, v={:g}".format(*_first(active, y, v)))
+
+    # safeguarded Newton polish against the extended-precision residual
+    residual = power_real_residual(sing, u, v, y)
+    active = np.ones(u.shape, dtype=bool)
     for _ in range(4):
-        rho_abs = math.hypot(best_u, v)
-        theta = math.atan2(v, best_u)
-        slope = gamma * rho_abs ** (gamma - 1.0) * math.cos((gamma - 1.0) * theta)
-        if slope <= 0.0 or not math.isfinite(slope):
+        slope = level(u)[1]
+        active &= (slope > 0.0) & np.isfinite(slope)
+        cand = u - residual / slope
+        cand_residual = power_real_residual(sing, cand, v, y)
+        active &= np.abs(cand_residual) < np.abs(residual)
+        u = np.where(active, cand, u)
+        residual = np.where(active, cand_residual, residual)
+        if not active.any():
             break
-        cand = best_u - power_real_residual(sing, best_u, v, y) / slope
-        cand_res = abs(power_real_residual(sing, cand, v, y))
-        if cand_res < best_res:
-            best_u, best_res = cand, cand_res
-        else:
-            break
-    u_root = best_u
 
-    rho = sing.b * u_root + sing.a * v
-    lo_ok = rho >= Y / thresholds.c2 - 1e-9
-    hi_ok = rho <= thresholds.c2 * Y + 1e-9
-    if not (lo_ok and hi_ok):
+    rho = sing.b * u + sing.a * v
+    outside = ~((rho >= Y / thresholds.c2 - 1e-9) & (rho <= thresholds.c2 * Y + 1e-9))
+    if outside.any():
+        rho0, Y0 = _first(outside, rho, Y)
         raise NoRootError(
-            f"root found but rho={rho:g} violates the comparability band "
-            f"[{Y / thresholds.c2:g}, {thresholds.c2 * Y:g}]; thresholds too small"
+            f"root found but rho={rho0:g} violates the comparability band "
+            f"[{Y0 / thresholds.c2:g}, {thresholds.c2 * Y0:g}]; thresholds too small"
         )
-    return float(rho)
+    return float(rho[0]) if scalar else rho
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ __all__ = [
     "t_of_s",
     "uniformize_leaf",
     "visibility_N",
+    "visibility_rows",
 ]
 
 DEFAULT_MAX_HORIZON = 25.0
@@ -338,14 +339,17 @@ def m_aR_pushforward(
     n_t: int = 512,
     n_theta: int = 256,
     max_horizon: float = DEFAULT_MAX_HORIZON,
+    total: QuadResult | None = None,
 ) -> float:
     """Integral of the ambient function ``f`` against the normalized pushforward.
 
     The measure is the image under the covering map of
     ``log(1/|zeta|) omega_P`` restricted to the disc of hyperbolic radius
-    ``R``, divided by its total mass; with ``f == 1`` the result is ``1`` up
-    to quadrature error.  ``f`` receives two equal-shape complex arrays
-    ``(z, w)`` and must return the real array of its values.
+    ``R``, divided by its total mass ``M_of_R(R, tol)``; with ``f == 1`` the
+    result is ``1`` up to quadrature error.  A caller that already holds that
+    mass passes it as ``total`` and ``tol`` is then unused.  ``f`` receives
+    two equal-shape complex arrays ``(z, w)`` and must return the real array
+    of its values.
 
     The angular direction uses a uniform grid (trapezoid on a periodic
     integrand); the radial direction uses midpoint on a uniform ``t``-grid,
@@ -358,7 +362,8 @@ def m_aR_pushforward(
         raise ValueError(f"horizon {R} exceeds {max_horizon}")
     if n_t < 8 or n_theta < 8:
         raise ValueError("need at least eight nodes per direction")
-    total = M_of_R(R, tol)
+    if total is None:
+        total = M_of_R(R, tol)
     h = R / n_t
     ts = (np.arange(n_t) + 0.5) * h
     thetas = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
@@ -417,6 +422,24 @@ class RecurrenceReport:
     decay_fit: float
 
 
+def visibility_rows(
+    uni: LeafUniformization,
+    target,
+    r_grid,
+    horizon: float,
+    n_t: int = 128,
+    n_theta: int = 512,
+    rng: np.random.Generator | None = None,
+) -> tuple[tuple[float, float, float], ...]:
+    """Rows ``(r, N, N * |log r|)`` of :func:`visibility_N` at ``target``
+    over ``r_grid``, at one horizon."""
+    rows = []
+    for r in r_grid:
+        n = visibility_N(uni, target, float(r), horizon, n_t=n_t, n_theta=n_theta, rng=rng)
+        rows.append((float(r), n, n * abs(math.log(r))))
+    return tuple(rows)
+
+
 def recurrence_report(
     uni: LeafUniformization,
     r_grid=None,
@@ -434,14 +457,11 @@ def recurrence_report(
     """
     if r_grid is None:
         r_grid = tuple(2.0**-k for k in range(7, 13))
-    visibility_rows = []
-    for r in r_grid:
-        n = visibility_N(uni, target, float(r), horizon, n_t=n_t, n_theta=n_theta, rng=rng)
-        visibility_rows.append((float(r), n, n * abs(math.log(r))))
+    visibility = visibility_rows(uni, target, r_grid, horizon, n_t=n_t, n_theta=n_theta, rng=rng)
     horizon_rows = []
     for R in R_grid:
         m = M_of_R(float(R))
-        mass = m_aR_pushforward(uni, float(R), lambda z, w: np.ones(z.shape))
+        mass = m_aR_pushforward(uni, float(R), lambda z, w: np.ones(z.shape), total=m)
         horizon_rows.append((float(R), m.value, m.value - 2.0 * math.pi * R, mass))
     ts = np.linspace(5.0, 15.0, 41)
     gaps = np.abs(circle_factor(ts) - 1.0)
@@ -450,7 +470,7 @@ def recurrence_report(
         horizon=float(horizon),
         n_t=int(n_t),
         n_theta=int(n_theta),
-        visibility_rows=tuple(visibility_rows),
+        visibility_rows=visibility,
         horizon_rows=tuple(horizon_rows),
         decay_fit=decay,
     )

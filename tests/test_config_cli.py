@@ -325,6 +325,37 @@ def test_identical_config_and_seed_reproduce_bytes(tmp_path) -> None:
     assert meta_a["metadata"]["configHash"] != meta_c["metadata"]["configHash"]
 
 
+def test_recurrence_stage_computes_horizon_rows_once(tmp_path, monkeypatch) -> None:
+    # the horizon rows do not depend on the visibility target, so a stage
+    # with two targets evaluates M_R once per horizon, shared with the
+    # pushforward normalization
+    import leafcurrent.recurrence as recurrence
+
+    calls = []
+    real_M_of_R = recurrence.M_of_R
+
+    def counted(R, tol=None):
+        calls.append(R)
+        return real_M_of_R(R, tol)
+
+    monkeypatch.setattr(recurrence, "M_of_R", counted)
+    R_grid = [5.0, 10.0]
+    config = _write(
+        tmp_path / "c.json",
+        {
+            "grids": {"rGrid": [2.0**-7, 2.0**-8], "RGrid": R_grid},
+            "recurrence": {"nT": 16, "nTheta": 256, "horizon": 8.0, "targets": [0, [[0.5, 0.0], [0.0, 0.0]]]},
+        },
+    )
+    assert run_command(["recurrence", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == R_grid
+    names = {p.name for p in (tmp_path / "out").iterdir()}
+    assert "recurrence_visibility_origin.csv" in names
+    assert "recurrence_visibility_x0p5_0_0_0.csv" in names
+    rows = (tmp_path / "out" / "recurrence_horizon.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(R_grid)
+
+
 def test_metadata_hash_matches_resolved_config(tmp_path, capsys) -> None:
     rc = run_command(["oracle", "--s0", "2", "--out", str(tmp_path)])
     assert rc == 0

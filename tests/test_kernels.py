@@ -336,6 +336,53 @@ def test_sampler_seeded_reproducibility():
     assert (one.sup_ratio, one.inf_ratio) != (other.sup_ratio, other.inf_ratio)
 
 
+# (sup_ratio, inf_ratio) at RATIO_SQUARE, seed 7, 2,000 samples, recorded
+# from the scalar one-sample-at-a-time sampler; the batched sampler must
+# reproduce them exactly, since its rng calls and arithmetic are the same
+PINNED_BANDS = {
+    4.0: {
+        "part1-radius": (0.9999988488667763, 0.5006121861200467),
+        "part1-height": (0.5000000000000295, 0.49999999999997147),
+        "far": (2.2553712032606303, 0.5081949864390356),
+        "near-origin": (1.1351005893407375, 0.8923108572864701),
+        "diagonal": (1.8486170739436047, 0.008467120307534323),
+        "boundary-strip": (0.5155231422226095, 0.31992638203048823),
+    },
+    8.0: {
+        "part1-radius": (0.9999988488667763, 0.5006121861200467),
+        "part1-height": (0.5000000000000295, 0.49999999999997147),
+        "far": (2.058998841040827, 0.5092194550185121),
+        "near-origin": (1.0314648884947517, 0.9722753980630249),
+        "diagonal": (2.87736311754489, 0.0006572763309613432),
+        "boundary-strip": (0.5069605610478048, 0.19791510704009826),
+    },
+}
+
+
+def test_sampler_stream_is_pinned():
+    for thresholds in (RegimeThresholds(), RegimeThresholds().doubled()):
+        for regime in REGIMES:
+            band = regime_constant_sampler(RATIO_SQUARE, regime, 2_000, seed=7, thresholds=thresholds)
+            assert (band.sup_ratio, band.inf_ratio) == PINNED_BANDS[thresholds.c2][regime], regime
+    steep = regime_constant_sampler(RATIO_STEEP, "boundary-strip", 2_000, seed=7, y_max=1e7)
+    assert (steep.sup_ratio, steep.inf_ratio) == (0.2719506815897222, 0.03417064574619013)
+
+
+def test_regime_functions_on_arrays_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    v = np.exp(rng.uniform(0.0, 4.0, 300))
+    t = np.exp(rng.uniform(0.0, 4.0, 300))
+    y = rng.choice((-1.0, 1.0), 300) * np.exp(rng.uniform(0.0, 9.0, 300))
+    for sing in (RATIO_SQUARE, RATIO_SHALLOW, RATIO_STEEP):
+        dens = poisson_density(sing, v, t, y)
+        assert dens.tolist() == [float(poisson_density(sing, *p)) for p in zip(v, t, y)]
+        for regime in ("far", "near-origin", "diagonal"):
+            comp = regime_comparator(sing, regime, v, t, y)
+            assert comp.tolist() == [regime_comparator(sing, regime, *p) for p in zip(v, t, y)]
+    got = regime_comparator(RATIO_SQUARE, "diagonal", 2.0, 3.0, 99.0)
+    assert type(got) is float and got == 0.01
+
+
 def test_thresholds_validate_and_double():
     with pytest.raises(ValueError):
         RegimeThresholds(c2=1.0)
@@ -390,6 +437,29 @@ def test_crossing_residual_floor_steep_ratio():
 def test_crossing_monotone_in_height():
     roots = [rho_solver(RATIO_SQUARE, y, 1.0) for y in (255.0, 500.0, 1000.0, 5000.0)]
     assert all(b > a for a, b in zip(roots, roots[1:]))
+
+
+def test_crossing_on_arrays_matches_scalar_calls():
+    # one code path for both forms: every element of an array call equals
+    # the scalar call on it exactly (no ulp of slack is needed)
+    rng = np.random.default_rng(11)
+    for sing in (RATIO_SQUARE, RATIO_SHALLOW, RATIO_STEEP):
+        y = np.exp(rng.uniform(math.log(16.0**sing.gamma), math.log(1e8), 400))
+        width = scale_factor(sing, y) / 16.0  # the largest v the strip allows
+        v = np.exp(rng.uniform(0.0, np.log(width)))
+        v[:20], v[20:40] = 1.0, width[20:40]
+        rho = rho_solver(sing, y, v)
+        scalar = [rho_solver(sing, float(a), float(b)) for a, b in zip(y, v)]
+        assert all(type(r) is float for r in scalar)
+        assert rho.tolist() == scalar
+    # one infeasible element fails the whole call, as it fails its scalar call
+    y = np.array([255.0, 1000.0, -1023.0])
+    with pytest.raises(NoRootError):
+        rho_solver(RATIO_SQUARE, y, np.ones(3))
+    with pytest.raises(ValueError):
+        rho_solver(RATIO_SQUARE, np.array([255.0, 1023.0]), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        rho_solver(RATIO_SQUARE, np.array([255.0, 99.0]), np.array([1.0, 5.0]))
 
 
 def test_crossing_rejections():
