@@ -349,9 +349,14 @@ class RegimeBand:
     thresholds: RegimeThresholds
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """One uniform double on ``[lo, hi)``: the bits and generator state of ``rng.uniform(lo, hi)``."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _sample_y(rng: np.random.Generator, y_min: float, y_max: float) -> float:
     """One height: magnitude log-uniform in [y_min, y_max], random sign."""
-    mag = float(np.exp(rng.uniform(math.log(y_min), math.log(y_max))))
+    mag = float(np.exp(_uniform(rng, math.log(y_min), math.log(y_max))))
     return mag if rng.integers(0, 2) else -mag
 
 
@@ -371,11 +376,14 @@ def regime_constant_sampler(
     two threshold-free part-1 identities the "ratio" is the identity's middle
     expression itself.
 
-    The sequence of calls on ``np.random.default_rng(seed)`` is part of the
-    output contract: the bands of a seed stay the same only while every draw
-    is made by the same call, in the same order.  The draws come first, one
-    sample at a time; the density, the comparator and its level-crossing root
-    are then evaluated once on the whole sample.
+    The sequence of draws from ``np.random.default_rng(seed)`` is part of the
+    output contract: the bands of a seed stay the same only while the same
+    draws are made in the same order.  A draw is one uniform double
+    ``lo + (hi - lo) * rng.random()`` (the bits and generator state of
+    ``rng.uniform(lo, hi)``), one sign ``rng.integers(0, 2)``, or, for the
+    part-1 identities, one array of ``sample_count`` uniform doubles.  The
+    draws come first, one sample at a time; the density, the comparator and
+    its level-crossing root are then evaluated once on the whole sample.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
@@ -411,25 +419,25 @@ def regime_constant_sampler(
                 # reflection swapping the sector's boundary rays flips the
                 # sign of U and exchanges the branches, so positive y on this
                 # branch covers both cases
-                y = math.exp(rng.uniform(math.log(y_lo), math.log(y_max)))
+                y = math.exp(_uniform(rng, math.log(y_lo), math.log(y_max)))
             else:
                 y = _sample_y(rng, y_lo, y_max)
             Y = (1.0 + abs(y)) ** inv_gamma  # scale_factor(sing, y), on a Python float
             if regime == "far":
                 lo = max(1.0, c2 * Y)
-                mx = lo * math.exp(rng.uniform(0.0, math.log(10.0)))
-                mn = math.exp(rng.uniform(0.0, math.log(mx)))
+                mx = lo * math.exp(_uniform(rng, 0.0, math.log(10.0)))
+                mn = math.exp(_uniform(rng, 0.0, math.log(mx)))
             elif regime == "near-origin":
-                mx = math.exp(rng.uniform(0.0, math.log(Y / c2)))
-                mn = math.exp(rng.uniform(0.0, math.log(mx))) if mx > 1.0 else 1.0
+                mx = math.exp(_uniform(rng, 0.0, math.log(Y / c2)))
+                mn = math.exp(_uniform(rng, 0.0, math.log(mx))) if mx > 1.0 else 1.0
             elif regime == "diagonal":
                 hi = c2 * Y
-                mn = math.exp(rng.uniform(math.log(max(1.0, Y / c2)), math.log(hi)))
-                mx = math.exp(rng.uniform(math.log(mn), math.log(hi)))
+                mn = math.exp(_uniform(rng, math.log(max(1.0, Y / c2)), math.log(hi)))
+                mx = math.exp(_uniform(rng, math.log(mn), math.log(hi)))
             else:
-                mn = math.exp(rng.uniform(0.0, math.log(Y / c3)))
+                mn = math.exp(_uniform(rng, 0.0, math.log(Y / c3)))
                 hi = c2 * Y
-                mx = math.exp(rng.uniform(math.log(max(Y / c2, mn)), math.log(hi)))
+                mx = math.exp(_uniform(rng, math.log(max(Y / c2, mn)), math.log(hi)))
                 vs[k], ts[k], ys[k] = mn, mx, y
                 continue
             vs[k], ts[k], ys[k] = (mn, mx, y) if rng.random() < 0.5 else (mx, mn, y)

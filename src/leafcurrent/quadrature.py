@@ -150,15 +150,14 @@ class DecayDescriptor:
     """Envelope rates for integrands on ``{min(t, v) >= s}``.
 
     The tail certification assumes ``|f(t, v)| <= A * exp(-exp_rate*(min-s))
-    * (1+max)**(-alg_rate)`` on the discarded region.  ``amplitude`` is the
-    envelope constant ``A``; when ``None`` it is estimated by probing ``f``
-    near the truncation boundary (times a safety factor), which makes the
-    certificate an indicator rather than a proof.
+    * (1+max)**(-alg_rate)`` on the discarded region.  The envelope constant
+    ``A`` is estimated by probing ``f`` near the truncation boundary (times a
+    safety factor), which makes the certificate an indicator rather than a
+    proof.
     """
 
     exp_rate: float
     alg_rate: float
-    amplitude: float | None = None
 
     def __post_init__(self) -> None:
         if not self.exp_rate > 0.0:
@@ -216,8 +215,8 @@ def _truncate_corner(
     """Cut points of ``{min(t, v) >= s}`` and the closed-form tail bounds beyond them.
 
     Under the envelope ``A e^{-q (min - s)} (1 + max)^{-p}`` of ``decay`` (``A``
-    probed through ``f`` unless given), the max-direction cut doubles until
-    the algebraic tail bound over ``{max > x_cut}`` is at most ``target/4``;
+    probed through ``f``), the max-direction cut doubles until the algebraic
+    tail bound over ``{max > x_cut}`` is at most ``target/4``;
     the min-direction cut then grows in steps of 5, never past the max cut,
     until the exponential tail bound over ``{min > m_cut}`` is too.  Both
     bounds count the two orientations ``(t, v)`` and ``(v, t)``.  Returns
@@ -226,11 +225,7 @@ def _truncate_corner(
     q, p = decay.exp_rate, decay.alg_rate
     A = 0.0
     for _ in range(80):
-        A = (
-            decay.amplitude
-            if decay.amplitude is not None
-            else _probe_amplitude(f, s, m_cut, x_cut, 8.0 * x_cut, q, p)
-        )
+        A = _probe_amplitude(f, s, m_cut, x_cut, 8.0 * x_cut, q, p)
         tail_alg = 2.0 * A * (1.0 + x_cut) ** (1.0 - p) / (q * (p - 1.0))
         if tail_alg <= 0.25 * target or A == 0.0:
             break

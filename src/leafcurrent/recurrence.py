@@ -213,6 +213,23 @@ def _ambient_target(x) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 
+def _covering_image(uni: LeafUniformization, ts, n_theta: int, rng: np.random.Generator | None = None):
+    """Covering map ``(z, w)`` on circles of hyperbolic radii ``ts`` (rows), ``n_theta`` angles
+    each: the midpoint grid, or under ``rng`` one draw ``uniform(0, 2 pi, (len(ts), n_theta))``."""
+    if rng is None:
+        thetas = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    else:
+        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(len(ts), n_theta))
+    return uni.ambient_at(s_of_t(ts)[:, None] * np.exp(1j * thetas))
+
+
+def _ambient_distance(uni: LeafUniformization, x, ts, n_theta: int, rng: np.random.Generator | None):
+    """Euclidean distance from the ambient point ``x`` of :func:`_covering_image`."""
+    xz, xw = _ambient_target(x)
+    z, w = _covering_image(uni, ts, n_theta, rng)
+    return np.hypot(np.abs(z - xz), np.abs(w - xw))
+
+
 def circle_average(
     uni: LeafUniformization,
     x,
@@ -227,21 +244,30 @@ def circle_average(
     Carlo angles.  The value is the fraction of the circle whose image lies
     within Euclidean distance ``r`` of the ambient point ``x``.
     """
-    if t < 0.0:
-        raise ValueError("hyperbolic radius must be nonnegative")
     if r <= 0.0:
         raise ValueError("ball radius must be positive")
     if n_theta < 8:
         raise ValueError("need at least eight angular nodes")
-    xz, xw = _ambient_target(x)
-    if rng is None:
-        thetas = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-    else:
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=n_theta)
-    xi = s_of_t(t) * np.exp(1j * thetas)
-    z, w = uni.ambient_at(xi)
-    inside = np.hypot(np.abs(z - xz), np.abs(w - xw)) < r
-    return float(np.mean(inside))
+    distance = _ambient_distance(uni, x, np.array([float(t)]), n_theta, rng)
+    return float(np.mean(distance < r))
+
+
+def _visibility(uni, x, radii, R, n_t, n_theta, rng, max_horizon=DEFAULT_MAX_HORIZON) -> list[float]:
+    # one distance array, thresholded at every radius: N is monotone in r
+    if R <= 0.0:
+        raise ValueError("horizon must be positive")
+    if R > max_horizon:
+        raise ValueError(
+            f"horizon {R} exceeds {max_horizon}; tanh(R/2) is then within "
+            "3e-11 of 1 and the covering map degenerates in double precision"
+        )
+    if n_t < 2:
+        raise ValueError("need at least two time nodes")
+    if any(r <= 0.0 for r in radii):
+        raise ValueError("ball radius must be positive")
+    ts = np.linspace(0.0, R, n_t)
+    distance = _ambient_distance(uni, x, ts, n_theta, rng)
+    return [float(np.trapezoid((distance < r).mean(axis=1), ts) / R) for r in radii]
 
 
 def visibility_N(
@@ -260,31 +286,7 @@ def visibility_N(
     monotone nondecreasing in ``r`` on identical grids.  This is the
     truncated statistic at horizon ``R``, not the defining upper limit.
     """
-    if R <= 0.0:
-        raise ValueError("horizon must be positive")
-    if R > max_horizon:
-        raise ValueError(
-            f"horizon {R} exceeds {max_horizon}; tanh(R/2) is then within "
-            "3e-11 of 1 and the covering map degenerates in double precision"
-        )
-    if n_t < 2:
-        raise ValueError("need at least two time nodes")
-    xz, xw = _ambient_target(x)
-    if r <= 0.0:
-        raise ValueError("ball radius must be positive")
-    ts = np.linspace(0.0, R, n_t)
-    if rng is None:
-        thetas = np.broadcast_to(
-            (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta), (n_t, n_theta)
-        )
-    else:
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(n_t, n_theta))
-    # all (t, theta) nodes evaluated in one vectorized pass; rows independent
-    xi = s_of_t(ts)[:, None] * np.exp(1j * thetas)
-    z, w = uni.ambient_at(xi)
-    inside = np.hypot(np.abs(z - xz), np.abs(w - xw)) < r
-    averages = inside.mean(axis=1)
-    return float(np.trapezoid(averages, ts) / R)
+    return _visibility(uni, x, (r,), R, n_t, n_theta, rng, max_horizon)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +368,9 @@ def m_aR_pushforward(
         total = M_of_R(R, tol)
     h = R / n_t
     ts = (np.arange(n_t) + 0.5) * h
-    thetas = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-    xi = s_of_t(ts)[:, None] * np.exp(1j * thetas)[None, :]
-    z, w = uni.ambient_at(xi)
+    z, w = _covering_image(uni, ts, n_theta)
     values = np.asarray(f(z, w), dtype=float)
-    if values.shape != xi.shape:
+    if values.shape != z.shape:
         raise ValueError("f must return one real value per grid node")
     angular = values.mean(axis=1)  # already includes the 1/(2 pi)
     weighted = float(np.sum(angular * circle_factor(ts)) * h)
@@ -432,12 +432,11 @@ def visibility_rows(
     rng: np.random.Generator | None = None,
 ) -> tuple[tuple[float, float, float], ...]:
     """Rows ``(r, N, N * |log r|)`` of :func:`visibility_N` at ``target``
-    over ``r_grid``, at one horizon."""
-    rows = []
-    for r in r_grid:
-        n = visibility_N(uni, target, float(r), horizon, n_t=n_t, n_theta=n_theta, rng=rng)
-        rows.append((float(r), n, n * abs(math.log(r))))
-    return tuple(rows)
+    over ``r_grid``, at one horizon, from one covering-map pass and, under
+    ``rng``, the one angle draw that :func:`visibility_N` makes."""
+    r_grid = [float(r) for r in r_grid]
+    values = _visibility(uni, target, r_grid, horizon, n_t, n_theta, rng)
+    return tuple((r, n, n * abs(math.log(r))) for r, n in zip(r_grid, values))
 
 
 def recurrence_report(

@@ -411,6 +411,21 @@ def test_quadrature_failure_exits_1_with_flagged_partial_reports(tmp_path, capsy
     assert len(meta["warnings"]) == len(set(meta["warnings"]))
 
 
+def test_package_exports_the_union_of_module_exports() -> None:
+    import importlib
+    import pkgutil
+
+    import leafcurrent
+
+    union = set()
+    for info in pkgutil.iter_modules(leafcurrent.__path__):
+        # the CLI's entry points are not re-exported, and importing __main__ runs them
+        if info.name not in ("cli", "__main__"):
+            union |= set(importlib.import_module(f"leafcurrent.{info.name}").__all__)
+    assert len(set(leafcurrent.__all__)) == len(leafcurrent.__all__)
+    assert set(leafcurrent.__all__) == {"__version__"} | union
+
+
 def test_module_entry_point_runs_the_cli(tmp_path) -> None:
     # `python -m leafcurrent` must run the CLI, not import it and exit silently
     src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])

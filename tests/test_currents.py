@@ -11,6 +11,7 @@ Frozen oracle values:
   ``0.3`` against the quarter-sector weight gives ``2/0.05 = 40``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,40 @@ def test_cauchy_extension_semigroup_form():
     got = profile_extension(prof, U, V)
     expect = 2.0 * 1.3 * (1.3 + V) / ((U - 0.4) ** 2 + (1.3 + V) ** 2)
     assert np.allclose(got, expect, rtol=1e-14)
+
+
+def test_extension_fallback_integrates_the_poisson_kernel():
+    closed = cauchy_profile()
+    prof = dataclasses.replace(closed, extension=None)
+    U = np.array([[-3.0, 0.0, 0.4], [2.5, 10.0, -0.7]])
+    V = np.array([[0.05, 1.0, 4.0], [0.3, 2.0, 20.0]])
+    got = profile_extension(prof, U, V)
+    assert got.shape == U.shape
+    np.testing.assert_allclose(got, profile_extension(closed, U, V), rtol=1e-8, atol=0.0)
+    scalar = profile_extension(prof, 2.5, 0.3)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(float(profile_extension(closed, 2.5, 0.3)), rel=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: algebraic_profile's extension uses a fixed 64-node "
+    "Gauss-Legendre rule per theta interval, which misses the peak of H at y = c "
+    "(a theta sliver of width about V / (U - c)^2): off by 2.8% at (100, 1) and "
+    "by 12% at (1000, 10)",
+)
+def test_algebraic_extension_matches_mpmath_far_from_the_kink():
+    mpmath = pytest.importorskip("mpmath")
+    prof = algebraic_profile()
+    errors = []
+    for U, V in ((100.0, 1.0), (1000.0, 10.0)):
+        def poisson(y):
+            return (1 + abs(y)) ** mpmath.mpf(-1.5) * V / (mpmath.pi * ((y - U) ** 2 + V * V))
+
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(poisson, [-mpmath.inf, 0, U - V, U, U + V, mpmath.inf]))
+        errors.append(abs(float(profile_extension(prof, U, V)) - ref) / ref)
+    assert max(errors) <= 1e-10
 
 
 def test_extensions_satisfy_mean_value_property():

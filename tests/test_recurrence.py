@@ -40,6 +40,7 @@ from leafcurrent.recurrence import (
     t_of_s,
     uniformize_leaf,
     visibility_N,
+    visibility_rows,
 )
 
 RATIO_SQUARE = normalize_singularity(1, 1j)  # gamma = 2
@@ -247,6 +248,48 @@ def test_visibility_horizon_guard():
         visibility_N(uni, 0, 0.5, 0.0)
     # explicit override raises the cap
     assert visibility_N(uni, 0, 3.0, 30.0, max_horizon=40.0) == 1.0
+
+
+R_GRID_12 = tuple(2.0**-k for k in range(1, 13))
+
+
+def test_visibility_rows_make_one_covering_pass_per_target(monkeypatch):
+    uni = square_uniformization()
+    shapes = []
+    real_ambient_at = LeafUniformization.ambient_at
+
+    def counted(self, xi):
+        shapes.append(np.shape(xi))
+        return real_ambient_at(self, xi)
+
+    monkeypatch.setattr(LeafUniformization, "ambient_at", counted)
+    for rng in (None, np.random.default_rng(3)):
+        shapes.clear()
+        rows = visibility_rows(uni, 0, R_GRID_12, 20.0, n_t=16, n_theta=256, rng=rng)
+        assert len(rows) == 12
+        assert shapes == [(16, 256)]
+
+
+def test_visibility_rows_match_the_per_radius_loop_on_fixed_angles():
+    uni = square_uniformization()
+    rows = visibility_rows(uni, 0, R_GRID_12, 20.0, n_t=32, n_theta=1024)
+    loop = [visibility_N(uni, 0, r, 20.0, n_t=32, n_theta=1024) for r in R_GRID_12]
+    assert [n for _, n, _ in rows] == loop
+    with pytest.raises(ValueError):
+        visibility_rows(uni, 0, (0.5, 0.0), 20.0)
+
+
+def test_seeded_visibility_rows_share_one_draw():
+    uni = square_uniformization()
+    kwargs = dict(n_t=32, n_theta=1024)
+    rows = visibility_rows(uni, 0, R_GRID_12, 20.0, rng=np.random.default_rng(11), **kwargs)
+    values = [n for _, n, _ in rows]
+    assert values == sorted(values, reverse=True)  # nonincreasing as r shrinks
+    assert values[-1] > 0.0
+    assert values[0] == visibility_N(uni, 0, R_GRID_12[0], 20.0, rng=np.random.default_rng(11), **kwargs)
+    for k in (0, 5):
+        single = visibility_rows(uni, 0, [0.1], 20.0, rng=np.random.default_rng(k), **kwargs)[0][1]
+        assert single == visibility_N(uni, 0, 0.1, 20.0, rng=np.random.default_rng(k), **kwargs)
 
 
 # ---------------------------------------------------------------------------
