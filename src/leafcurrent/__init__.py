@@ -6,228 +6,36 @@ provides certified quadrature (`quadrature`), sector/half-plane leaf geometry
 (`geometry`), boundary-profile currents and their Poisson extensions
 (`currents`), the singular integral kernel and its decay bounds (`kernels`),
 mass profiles and Lelong-number diagnostics (`mass`), hyperbolic-time
-recurrence statistics on leaves (`recurrence`), and a small CLI (`cli`).
+recurrence statistics on leaves (`recurrence`), validated run
+configuration (`config`), byte-stable reports (`reports`), and a small CLI
+(`cli`).
 
 Every public name of those modules but ``cli``, whose entry points run as
-``leafcurrent`` or ``python -m leafcurrent``, is re-exported here;
-``leafcurrent.<name>`` is the supported import surface.
+``leafcurrent`` or ``python -m leafcurrent``, is re-exported here from the
+module's own ``__all__``; ``leafcurrent.<name>`` is the supported import
+surface.
 """
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    RecurrenceSettings,
-    default_document,
-    load_config,
-    parse_complex_token,
-    parse_config,
-    schema_document,
-)
-from .currents import (
-    BoundaryProfile,
-    CurrentSpec,
-    IntegrabilityReport,
-    algebraic_profile,
-    builtin_currents,
-    cauchy_profile,
-    chi_weight,
-    default_current,
-    integrability_mass,
-    leaf_density,
-    poisson_eval,
-    profile_extension,
-    triangle_profile,
-    zero_profile,
-)
-from .geometry import (
-    LeafPoint,
-    NonHyperbolicError,
-    SectorDomainError,
-    SectorPoint,
-    Singularity,
-    halfplane_to_sector,
-    in_fundamental_annulus,
-    leaf_point,
-    leaf_speed_sq,
-    normalize_singularity,
-    power_polar,
-    sector_to_halfplane,
-    transversal_label,
-)
-from .kernels import (
-    REGIMES,
-    EmptyRegimeError,
-    KernelCell,
-    KernelReport,
-    NoRootError,
-    RegimeBand,
-    RegimeThresholds,
-    bound_envelope,
-    case_decay_slope,
-    classify_regime,
-    exp_moment_oracle,
-    kernel_K,
-    kernel_report,
-    kernel_uv_form,
-    poisson_density,
-    power_real_residual,
-    regime_comparator,
-    regime_constant_sampler,
-    rho_solver,
-    scale_factor,
-)
-from .mass import (
-    MassProfile,
-    bound_G_via_kernel,
-    default_r_grid,
-    g_profile,
-    mass_F,
-    mass_profile,
-    mass_upper_intermediate,
-    profile_decay_slope,
-)
-from .reports import (
-    ReportBundle,
-    Table,
-    bundle_to_json,
-    config_hash,
-    dumps_canonical,
-    emit_reports,
-    format_number,
-    table_to_csv,
-    tool_version,
-)
-from .quadrature import (
-    DecayDescriptor,
-    QuadratureError,
-    QuadResult,
-    Tolerance,
-    integrate_1d,
-    integrate_2d,
-)
-from .recurrence import (
-    DEFAULT_MAX_HORIZON,
-    LeafUniformization,
-    M_of_R,
-    RecurrenceReport,
-    circle_average,
-    circle_factor,
-    eta_local,
-    m_aR_pushforward,
-    poincare_distance_disc,
-    poincare_distance_halfplane,
-    recurrence_report,
-    s_of_t,
-    t_of_s,
-    uniformize_leaf,
-    visibility_N,
-    visibility_rows,
-)
+from . import config, currents, geometry, kernels, mass, quadrature, recurrence, reports
+from .config import *
+from .currents import *
+from .geometry import *
+from .kernels import *
+from .mass import *
+from .quadrature import *
+from .recurrence import *
+from .reports import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # config
-    "ConfigError",
-    "ExperimentConfig",
-    "RecurrenceSettings",
-    "default_document",
-    "load_config",
-    "parse_complex_token",
-    "parse_config",
-    "schema_document",
-    # currents
-    "BoundaryProfile",
-    "CurrentSpec",
-    "IntegrabilityReport",
-    "triangle_profile",
-    "cauchy_profile",
-    "algebraic_profile",
-    "zero_profile",
-    "default_current",
-    "builtin_currents",
-    "poisson_eval",
-    "profile_extension",
-    "leaf_density",
-    "chi_weight",
-    "integrability_mass",
-    # kernels
-    "REGIMES",
-    "EmptyRegimeError",
-    "NoRootError",
-    "RegimeThresholds",
-    "RegimeBand",
-    "KernelCell",
-    "KernelReport",
-    "bound_envelope",
-    "poisson_density",
-    "kernel_K",
-    "kernel_uv_form",
-    "kernel_report",
-    "exp_moment_oracle",
-    "classify_regime",
-    "regime_comparator",
-    "regime_constant_sampler",
-    "rho_solver",
-    "power_real_residual",
-    "case_decay_slope",
-    "scale_factor",
-    # mass
-    "MassProfile",
-    "default_r_grid",
-    "mass_F",
-    "mass_profile",
-    "mass_upper_intermediate",
-    "profile_decay_slope",
-    "g_profile",
-    "bound_G_via_kernel",
-    # reports
-    "ReportBundle",
-    "Table",
-    "bundle_to_json",
-    "config_hash",
-    "dumps_canonical",
-    "emit_reports",
-    "format_number",
-    "table_to_csv",
-    "tool_version",
-    # geometry
-    "Singularity",
-    "SectorPoint",
-    "LeafPoint",
-    "NonHyperbolicError",
-    "SectorDomainError",
-    "normalize_singularity",
-    "leaf_point",
-    "leaf_speed_sq",
-    "sector_to_halfplane",
-    "halfplane_to_sector",
-    "power_polar",
-    "in_fundamental_annulus",
-    "transversal_label",
-    # quadrature
-    "Tolerance",
-    "QuadResult",
-    "QuadratureError",
-    "DecayDescriptor",
-    "integrate_1d",
-    "integrate_2d",
-    # recurrence
-    "DEFAULT_MAX_HORIZON",
-    "LeafUniformization",
-    "RecurrenceReport",
-    "uniformize_leaf",
-    "s_of_t",
-    "t_of_s",
-    "circle_average",
-    "visibility_N",
-    "visibility_rows",
-    "M_of_R",
-    "m_aR_pushforward",
-    "circle_factor",
-    "eta_local",
-    "poincare_distance_disc",
-    "poincare_distance_halfplane",
-    "recurrence_report",
+    *config.__all__,
+    *currents.__all__,
+    *geometry.__all__,
+    *kernels.__all__,
+    *mass.__all__,
+    *quadrature.__all__,
+    *recurrence.__all__,
+    *reports.__all__,
 ]

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .config import (
+    _PROFILE_FAMILIES,
     ConfigError,
     ExperimentConfig,
     default_document,
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("regimes", parents=[common], help="comparability bands")
     p = sub.add_parser("profile", parents=[common], help="ball-mass profiles")
     p.add_argument(
-        "--current", choices=("triangle", "cauchy", "algebraic", "zero"),
+        "--current", choices=tuple(_PROFILE_FAMILIES),
         help="run a single built-in current",
     )
     sub.add_parser("recurrence", parents=[common], help="recurrence statistics")

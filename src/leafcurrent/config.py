@@ -131,43 +131,29 @@ def _schema_diagnostic(error: jsonschema.ValidationError) -> str:
     return f"config error at {path}: {error.message}"
 
 
-_PROFILE_FIELDS = {
-    "triangle": ("center", "halfWidth", "height"),
-    "cauchy": ("center", "scale", "height"),
-    "algebraic": ("center", "exponent", "height"),
-    "zero": (),
+# family -> (factory, {config key: factory argument}); a key the document
+# omits is not passed, so it takes the factory's own default
+_PROFILE_FAMILIES = {
+    "triangle": (
+        triangle_profile, {"center": "center", "halfWidth": "half_width", "height": "height"}
+    ),
+    "cauchy": (cauchy_profile, {"center": "center", "scale": "scale", "height": "height"}),
+    "algebraic": (
+        algebraic_profile, {"center": "center", "exponent": "exponent", "height": "height"}
+    ),
+    "zero": (zero_profile, {}),
 }
 
 
 def _build_profile(doc: Mapping):
     family = doc["family"]
-    allowed = _PROFILE_FIELDS[family]
+    factory, params = _PROFILE_FAMILIES[family]
     for key in doc:
-        if key in ("family", "weight", "atom"):
-            continue
-        if key not in allowed:
+        if key not in params and key not in ("family", "weight", "atom"):
             raise ConfigError(
                 f"config error at current.{key}: not a parameter of family {family!r}"
             )
-    if family == "triangle":
-        return triangle_profile(
-            center=float(doc.get("center", 0.0)),
-            half_width=float(doc.get("halfWidth", 1.0)),
-            height=float(doc.get("height", 1.0)),
-        )
-    if family == "cauchy":
-        return cauchy_profile(
-            center=float(doc.get("center", 0.0)),
-            scale=float(doc.get("scale", 1.0)),
-            height=float(doc.get("height", 1.0)),
-        )
-    if family == "algebraic":
-        return algebraic_profile(
-            exponent=float(doc.get("exponent", 1.5)),
-            center=float(doc.get("center", 0.0)),
-            height=float(doc.get("height", 1.0)),
-        )
-    return zero_profile()
+    return factory(**{arg: float(doc[key]) for key, arg in params.items() if key in doc})
 
 
 @dataclass(frozen=True)

@@ -136,18 +136,7 @@ def profile_extension(profile: BoundaryProfile, U, V, *, tol: Tolerance | None =
     """
     if profile.extension is not None:
         return profile.extension(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
-    Ua = np.asarray(U, dtype=float)
-    Va = np.asarray(V, dtype=float)
-    if Ua.ndim == 0 and Va.ndim == 0:
-        return poisson_eval(
-            profile.evaluate,
-            float(Ua),
-            float(Va),
-            tol=tol,
-            support_bound=profile.support_bound,
-            break_points=profile.break_points,
-        ).value
-    Ub, Vb = np.broadcast_arrays(Ua, Va)
+    Ub, Vb = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
     out = np.empty(Ub.shape, dtype=float)
     for idx in np.ndindex(Ub.shape):
         out[idx] = poisson_eval(
@@ -158,7 +147,7 @@ def profile_extension(profile: BoundaryProfile, U, V, *, tol: Tolerance | None =
             support_bound=profile.support_bound,
             break_points=profile.break_points,
         ).value
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,26 @@ def _w_edges(w_cut: float, s_r: float) -> np.ndarray:
     return np.array([*edges, w_cut])
 
 
+def _leaf_decay_rate(profile: BoundaryProfile, gamma: float) -> float:
+    """Algebraic rate ``p`` of the mass integrand's decay in ``max(t, v)``.
+
+    ``gamma + 1`` for a compactly supported or fast-decaying profile, capped
+    at ``gamma * beta`` for one decaying like ``|y|^{-beta}``.  The mass is
+    finite only when ``p > 1``; otherwise this raises, since no truncation
+    of the integral can be certified.
+    """
+    p = gamma + 1.0
+    if profile.support_bound is None and math.isfinite(profile.decay_exponent):
+        p = min(p, gamma * profile.decay_exponent)
+    if not p > 1.0:
+        raise QuadratureError(
+            f"the mass diverges: the {profile.label} profile decays like "
+            f"|y|^-{profile.decay_exponent:g}, not faster than |y|^-1/gamma",
+            best=QuadResult(math.inf, math.inf, 0),
+        )
+    return p
+
+
 def _ball_mass(
     profile: BoundaryProfile, sing: Singularity, r: float, tol: Tolerance
 ) -> QuadResult:
@@ -156,15 +176,7 @@ def _ball_mass(
         inner_dominates[panel] = inner_err > outer_err
         return hi, outer_err + inner_err
 
-    p = gamma + 1.0
-    if profile.support_bound is None and math.isfinite(profile.decay_exponent):
-        p = min(p, gamma * profile.decay_exponent)
-    if not p > 1.0:
-        raise QuadratureError(
-            f"the mass diverges: the {profile.label} profile decays like "
-            f"|y|^-{profile.decay_exponent:g}, not faster than |y|^-1/gamma",
-            best=QuadResult(math.inf, math.inf, 0),
-        )
+    p = _leaf_decay_rate(profile, gamma)
     # the integrand is nonnegative, so the corner panel's value bounds the
     # total from below and sets the tails' share of the relative tolerance;
     # the diagonal keeps it below w = 2, so the cut does not matter there
@@ -244,7 +256,10 @@ def mass_upper_intermediate(
 
     The ball region sits inside ``{min(v, t) >= -log r}`` and the leaf speed
     is dominated by ``(1+|lam|)^2 e^{-2 min(v, t)}``, so this quantity always
-    dominates :func:`mass_F` at the same radius.
+    dominates :func:`mass_F` at the same radius.  It is also the
+    kernel-weighted boundary mass of :func:`bound_G_via_kernel` (Fubini),
+    up to the factor ``2 (1+|lam|)^2 r^2 / pi``.  Like :func:`mass_F`, it
+    raises :class:`QuadratureError` for a profile whose mass diverges.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
@@ -253,9 +268,9 @@ def mass_upper_intermediate(
     a, b, gamma = sing.a, sing.b, sing.gamma
     front = (1.0 + abs(sing.lam)) ** 2 * 2.0 / b
     tol = tol or Tolerance(rel_tol=1e-7, abs_tol=1e-12 * r * r, max_evals=4_000_000)
-    decay = DecayDescriptor(exp_rate=1.5, alg_rate=gamma + 1.0)
     total, err, evals = 0.0, 0.0, 0
     for profile, weight in spec.effective_profiles():
+        decay = DecayDescriptor(exp_rate=1.5, alg_rate=_leaf_decay_rate(profile, gamma))
 
         def f(t, v):
             u = (t - a * v) / b

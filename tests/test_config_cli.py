@@ -16,6 +16,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import leafcurrent
@@ -28,6 +29,7 @@ from leafcurrent.config import (
     parse_complex_token,
     schema_document,
 )
+from leafcurrent.currents import algebraic_profile, cauchy_profile, triangle_profile, zero_profile
 from leafcurrent.reports import (
     ReportBundle,
     Table,
@@ -120,6 +122,41 @@ def test_custom_current_object() -> None:
     assert label == "cauchy"
     assert spec.weights == (3.0,)
     assert spec.atoms == (0.1 + 0.0j,)
+
+
+def test_every_profile_parameter_reaches_its_factory() -> None:
+    from leafcurrent.config import _PROFILE_FAMILIES
+
+    # non-default values, so a parameter that is dropped or routed to the
+    # wrong factory argument changes the profile
+    docs = {
+        "triangle": {"center": 0.2, "halfWidth": 0.5, "height": 3.0},
+        "cauchy": {"center": 0.2, "scale": 2.0, "height": 3.0},
+        "algebraic": {"center": 0.2, "exponent": 2.5, "height": 3.0},
+        "zero": {},
+    }
+    direct = {
+        "triangle": triangle_profile(center=0.2, half_width=0.5, height=3.0),
+        "cauchy": cauchy_profile(center=0.2, scale=2.0, height=3.0),
+        "algebraic": algebraic_profile(exponent=2.5, center=0.2, height=3.0),
+        "zero": zero_profile(),
+    }
+    assert list(_PROFILE_FAMILIES) == list(docs)
+    ys = np.linspace(-4.0, 4.0, 33)
+    U, V = np.array([-1.0, 0.2, 3.0]), np.array([0.1, 1.0, 5.0])
+    for family, params in docs.items():
+        cfg = parse_config({"current": {"family": family, **params}})
+        ((label, spec),) = cfg.currents(cfg.singularities()[0]).items()
+        assert label == family
+        (profile,) = spec.profiles
+        np.testing.assert_array_equal(profile.evaluate(ys), direct[family].evaluate(ys))
+        np.testing.assert_array_equal(
+            profile.extension(U, V), direct[family].extension(U, V)
+        )
+    # the schema is a data file, so it restates the family names
+    schema = schema_document()
+    assert schema["$defs"]["currentObject"]["properties"]["family"]["enum"] == list(docs)
+    assert schema["properties"]["current"]["oneOf"][0]["enum"] == list(docs)
 
 
 def test_builtin_current_name_selects_single_current() -> None:

@@ -200,6 +200,28 @@ def test_intermediate_bound_dominates_mass_steep_ratio():
     assert 0.0 < f <= ub
 
 
+def test_intermediate_bound_of_too_slowly_decaying_profile_is_reported_divergent():
+    # the bound's integrand decays no faster than mass_F's, so it diverges too
+    cur = default_current(RATIO_SQUARE, algebraic_profile(exponent=0.3))
+    with pytest.raises(QuadratureError, match="diverges"):
+        mass_upper_intermediate(cur, RATIO_SQUARE, 0.5)
+
+
+def test_intermediate_bound_is_the_kernel_weighted_boundary_mass():
+    # Fubini: int H K_s dy = pi e^{2s} (1/b) iint_{min >= s} ext e^{-2 min},
+    # so bound_G_via_kernel's right member is pi * upper / (2 (1+|lam|)^2 r^2),
+    # and refining its y rule converges to that exact value
+    sing, r = RATIO_SQUARE, 2.0**-2
+    cur = default_current(sing, cauchy_profile())
+    upper = mass_upper_intermediate(cur, sing, r).value
+    exact = math.pi * upper / (2.0 * (1.0 + abs(sing.lam)) ** 2 * r * r)
+    gap_8, gap_16 = (
+        abs(bound_G_via_kernel(cur, sing, r, y_order=n)[1] / exact - 1.0) for n in (8, 16)
+    )
+    assert gap_16 < 1e-6
+    assert gap_16 <= gap_8 / 10.0
+
+
 # ---------------------------------------------------------------------------
 # mass_profile
 # ---------------------------------------------------------------------------
