@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from scipy.special import hyp2f1
 
 from .geometry import Singularity, in_fundamental_annulus, power_polar
 from .quadrature import QuadResult, Tolerance, integrate_1d
@@ -164,7 +164,9 @@ def triangle_profile(center: float = 0.0, half_width: float = 1.0, height: float
         ``(alpha + beta U) (phi(q) - phi(p))
           + beta V / (2 pi) log(((q-U)^2 + V^2) / ((p-U)^2 + V^2))``
 
-    with ``phi(y) = arctan((y - U)/V) / pi``.
+    with ``phi(y) = arctan((y - U)/V) / pi``.  The angle difference is one
+    ``arctan2`` and the log of a ratio near 1 is a ``log1p`` of its excess, so
+    neither cancels when both endpoints look alike from ``U + iV``.
     """
     if half_width <= 0 or height < 0:
         raise ValueError("half_width must be positive and height nonnegative")
@@ -189,8 +191,10 @@ def triangle_profile(center: float = 0.0, half_width: float = 1.0, height: float
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             total = np.zeros(np.broadcast(U, V).shape)
             for p, q, al, be in pieces:
-                phi = (np.arctan2(q - U, V) - np.arctan2(p - U, V)) / math.pi
-                logs = np.log(((q - U) ** 2 + V**2) / ((p - U) ** 2 + V**2))
+                phi = np.arctan2((q - p) * V, (q - U) * (p - U) + V**2) / math.pi
+                den = (p - U) ** 2 + V**2
+                gap = (q - p) * (q + p - 2.0 * U) / den  # the log's ratio minus 1
+                logs = np.where(gap > -0.5, np.log1p(gap), np.log(((q - U) ** 2 + V**2) / den))
                 total = total + (al + be * U) * phi + be * V / (2.0 * math.pi) * logs
             # far from the support the exact formula cancels catastrophically
             # (two O(1) terms produce an O((hw/d)^2) value), so switch to the
@@ -242,16 +246,14 @@ def cauchy_profile(center: float = 0.0, scale: float = 1.0, height: float = 1.0)
     )
 
 
-_ALG_NODES, _ALG_WEIGHTS = leggauss(64)
-
-
 def algebraic_profile(exponent: float = 1.5, center: float = 0.0, height: float = 1.0) -> BoundaryProfile:
     """Slow-decay profile ``H(y) = height * (1 + |y - center|)^{-exponent}``.
 
-    No elementary extension exists, so the extension uses the substitution
-    ``y = U + V tan(theta)`` (which absorbs the Poisson kernel into a flat
-    measure ``d theta / pi``) with a fixed Gauss-Legendre rule on the two
-    angular intervals split at the kink image ``theta = arctan((center-U)/V)``.
+    The extension is exact.  On each half-line ``x = 1 + |y - center|`` turns
+    the Poisson kernel into ``Im 1/(x - w)``, and Euler's integral gives
+    ``int_1^inf x^{-beta} / (x - w) dx = 2F1(1, beta; beta + 1; w) / beta``; so
+    ``ext = height / (pi beta) Im[2F1(.; 1 + X + iV) + 2F1(.; 1 - X + iV)]``
+    with ``X = U - center``, both arguments off the branch cut ``[1, inf)``.
     """
     if exponent <= 0 or height < 0:
         raise ValueError("exponent must be positive and height nonnegative")
@@ -262,18 +264,10 @@ def algebraic_profile(exponent: float = 1.5, center: float = 0.0, height: float 
         return h * (1.0 + np.abs(y - c)) ** (-b)
 
     def extension(U, V):
-        U = np.asarray(U, dtype=float)
-        V = np.asarray(V, dtype=float)
-        Ub, Vb = np.broadcast_arrays(U, V)
-        theta_k = np.arctan2(c - Ub, Vb)  # in (-pi/2, pi/2) since V > 0
-        total = np.zeros(Ub.shape)
-        for lo, hi in ((-math.pi / 2.0, theta_k), (theta_k, math.pi / 2.0)):
-            mid = 0.5 * (np.asarray(hi) + np.asarray(lo))
-            rad = 0.5 * (np.asarray(hi) - np.asarray(lo))
-            theta = mid[..., None] + rad[..., None] * _ALG_NODES
-            vals = evaluate(Ub[..., None] + Vb[..., None] * np.tan(theta))
-            total = total + rad / math.pi * (vals @ _ALG_WEIGHTS)
-        return total
+        X = np.asarray(U, dtype=float) - c
+        iV = 1j * np.asarray(V, dtype=float)
+        halves = hyp2f1(1.0, b, b + 1.0, 1.0 + X + iV) + hyp2f1(1.0, b, b + 1.0, 1.0 - X + iV)
+        return h / (math.pi * b) * halves.imag
 
     return BoundaryProfile(
         label="algebraic",

@@ -24,7 +24,7 @@ boundaries) configurations by how ``max(v, t)`` compares with the scale
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -144,6 +144,7 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
     (absolute tolerance scaled to the decay envelope) estimates the
     magnitude, and the final pass certifies one part in 1e6 of it; this keeps
     the accuracy relative even where the envelope overshoots the kernel.
+    ``evaluations`` counts both passes.
     """
     if not s > 0.0:
         raise ValueError("s must be positive")
@@ -156,17 +157,20 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
         return np.exp(2.0 * s - 2.0 * m) * V / (V * V + (y - U) ** 2) / b
 
     decay = DecayDescriptor(exp_rate=1.5, alg_rate=gamma + 1.0)
+    probe_evals = 0
     if tol is None:
         env = bound_envelope(sing, s, y)
         probe = integrate_2d(
             integrand, s, decay, Tolerance(rel_tol=1e-3, abs_tol=max(1e-3 * env, 1e-300), max_evals=_KERNEL_MAX_EVALS)
         )
+        probe_evals = probe.evaluations
         tol = Tolerance(
             rel_tol=1e-6,
             abs_tol=max(1e-6 * abs(probe.value), 1e-300),
             max_evals=_KERNEL_MAX_EVALS,
         )
-    return integrate_2d(integrand, s, decay, tol)
+    final = integrate_2d(integrand, s, decay, tol)
+    return replace(final, evaluations=probe_evals + final.evaluations)
 
 
 def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None = None) -> float:

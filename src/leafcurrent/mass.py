@@ -285,6 +285,14 @@ def mass_upper_intermediate(
     return QuadResult(front * total, front * err, evals)
 
 
+def _tolerance_for_G(tol: Tolerance | None, r: float) -> Tolerance | None:
+    """The :func:`mass_F` tolerance at radius ``r`` that makes ``tol`` target ``G = F/r^2``.
+
+    ``abs_tol`` is scaled by ``r^2``; ``None`` keeps :func:`mass_F`'s default.
+    """
+    return None if tol is None else replace(tol, abs_tol=tol.abs_tol * r * r)
+
+
 @dataclass(frozen=True)
 class MassProfile:
     """Mass profile of a current over a decreasing grid of radii.
@@ -329,10 +337,7 @@ def mass_profile(
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("radius grid must be strictly decreasing")
 
-    results = [
-        mass_F(spec, sing, r, None if tol is None else replace(tol, abs_tol=tol.abs_tol * r * r))
-        for r in grid
-    ]
+    results = [mass_F(spec, sing, r, _tolerance_for_G(tol, r)) for r in grid]
 
     F = tuple(res.value for res in results)
     G = tuple(res.value / (r * r) for res, r in zip(results, grid))
@@ -415,12 +420,14 @@ def bound_G_via_kernel(
 
     The right member dominates the left up to a fixed constant of the
     singularity; both are returned so callers can track the empirical ratio.
+    An explicit ``tol`` targets ``G`` as in :func:`mass_profile` and reaches
+    each :func:`~leafcurrent.kernels.kernel_K` call unchanged.
     ``y_order`` is the Gauss-Legendre order per panel of the boundary
     integral (doubling it is the natural refinement study).
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    lhs = mass_F(spec, sing, r, tol).value / (r * r)
+    lhs = mass_F(spec, sing, r, _tolerance_for_G(tol, r)).value / (r * r)
     s = -math.log(r)
     nodes, weights = _gl(y_order)
     rhs = 0.0

@@ -263,6 +263,8 @@ def _visibility(uni, x, radii, R, n_t, n_theta, rng, max_horizon=DEFAULT_MAX_HOR
         )
     if n_t < 2:
         raise ValueError("need at least two time nodes")
+    if n_theta < 8:
+        raise ValueError("need at least eight angular nodes")
     if any(r <= 0.0 for r in radii):
         raise ValueError("ball radius must be positive")
     ts = np.linspace(0.0, R, n_t)

@@ -96,13 +96,6 @@ def test_extension_fallback_integrates_the_poisson_kernel():
     assert scalar == pytest.approx(float(profile_extension(closed, 2.5, 0.3)), rel=1e-8)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: algebraic_profile's extension uses a fixed 64-node "
-    "Gauss-Legendre rule per theta interval, which misses the peak of H at y = c "
-    "(a theta sliver of width about V / (U - c)^2): off by 2.8% at (100, 1) and "
-    "by 12% at (1000, 10)",
-)
 def test_algebraic_extension_matches_mpmath_far_from_the_kink():
     mpmath = pytest.importorskip("mpmath")
     prof = algebraic_profile()
@@ -115,6 +108,86 @@ def test_algebraic_extension_matches_mpmath_far_from_the_kink():
             ref = float(mpmath.quad(poisson, [-mpmath.inf, 0, U - V, U, U + V, mpmath.inf]))
         errors.append(abs(float(profile_extension(prof, U, V)) - ref) / ref)
     assert max(errors) <= 1e-10
+
+
+@pytest.mark.parametrize("exponent", [0.7, 1.5, 2.5, 5.0])
+def test_algebraic_extension_is_the_poisson_integral(exponent):
+    # the hypergeometric identity itself, against mpmath's quadrature of the
+    # Poisson integral, at the kink, beside the peak and far out
+    mpmath = pytest.importorskip("mpmath")
+    prof = algebraic_profile(exponent=exponent, center=0.3)
+    for U, V in ((0.3, 1e-4), (1.3, 1e-2), (-30.0, 0.5), (1e4, 1e-2), (-1e7, 1.0)):
+        def poisson(y):
+            return (1 + abs(y - mpmath.mpf(0.3))) ** -mpmath.mpf(exponent) * V / (
+                mpmath.pi * ((y - U) ** 2 + V * V)
+            )
+
+        with mpmath.workdps(30):
+            pts = sorted({mpmath.mpf(0.3), *map(mpmath.mpf, (U - V, U, U + V))})
+            ref = float(mpmath.quad(poisson, [-mpmath.inf, *pts, mpmath.inf]))
+        assert float(profile_extension(prof, U, V)) == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+# |U - c| from 0 to 1e7 and V from 1e-4 to 1e3 with |U - c| / V <= 1e7, both signs
+EXTREME_GRID = [
+    (sign * X, V)
+    for X in (0.0, 0.3, 1.0, 3.0, 10.0, 100.0, 200.0, 299.0, 1e3, 1e4, 1e5, 1e6, 1e7)
+    for V in (1e-4, 1e-2, 1.0, 10.0, 1e3)
+    if X <= 1e7 * V
+    for sign in ((1.0, -1.0) if X else (1.0,))
+]
+
+
+def _mp_extension(mp, factory, center=0.0, half_width=1.0, scale=1.0, exponent=1.5, height=1.0):
+    """Each family's extension at 40 digits, from the exact Poisson integral."""
+    c, h = mp.mpf(center), mp.mpf(height)
+    if factory is cauchy_profile:
+        s = mp.mpf(scale)
+        return lambda U, V: h * s * (s + V) / ((U - c) ** 2 + (s + V) ** 2)
+    if factory is algebraic_profile:
+        b = mp.mpf(exponent)
+
+        def half_line(w):  # int_1^inf x^-b / (x - w) dx
+            if b == int(b):  # elementary; mpmath's 2F1 is slow at integer b
+                return -(mp.log(1 - w) + sum(w**k / k for k in range(1, int(b)))) / w ** int(b)
+            return mp.hyp2f1(1, b, b + 1, w) / b
+
+        return lambda U, V: h / mp.pi * mp.im(half_line(mp.mpc(1 + U - c, V)) + half_line(mp.mpc(1 - U + c, V)))
+    hw = mp.mpf(half_width)
+    pieces = ((c - hw, c, h * (1 - c / hw), h / hw), (c, c + hw, h * (1 + c / hw), -h / hw))
+    return lambda U, V: sum(
+        (al + be * U) * (mp.atan((q - U) / V) - mp.atan((p - U) / V)) / mp.pi
+        + be * V / (2 * mp.pi) * mp.log(((q - U) ** 2 + V**2) / ((p - U) ** 2 + V**2))
+        for p, q, al, be in pieces
+    )
+
+
+@pytest.mark.parametrize(
+    "factory,kwargs,rel",
+    [
+        (triangle_profile, {}, 1e-10),
+        (triangle_profile, dict(center=0.2, half_width=1.5), 1e-10),
+        (cauchy_profile, {}, 1e-10),
+        (algebraic_profile, {}, 1e-10),
+        (algebraic_profile, dict(exponent=0.7), 1e-8),
+        (algebraic_profile, dict(exponent=2.5), 1e-8),
+        (algebraic_profile, dict(exponent=5.0), 1e-8),
+    ],
+)
+def test_extensions_match_mpmath_on_an_extreme_grid(factory, kwargs, rel):
+    # rounding near the boundary (V = 1e-4) and far from the bump (|U - c|/V
+    # up to 1e7), where a difference of two nearly equal arctangents or the
+    # log of a ratio near 1 would cost the triangle's extension digits
+    mpmath = pytest.importorskip("mpmath")
+    prof = factory(**kwargs)
+    c = kwargs.get("center", 0.0)
+    U = np.array([c + X for X, _ in EXTREME_GRID])
+    V = np.array([V for _, V in EXTREME_GRID])
+    got = profile_extension(prof, U, V)
+    with mpmath.workdps(40):
+        exact = _mp_extension(mpmath.mp, factory, **kwargs)
+        ref = np.array([float(exact(mpmath.mpf(u), mpmath.mpf(v))) for u, v in zip(U, V)])
+    np.testing.assert_allclose(got, ref, rtol=rel, atol=0.0)
 
 
 def test_extensions_satisfy_mean_value_property():

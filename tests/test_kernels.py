@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+from leafcurrent import kernels
 from leafcurrent.geometry import normalize_singularity, power_polar
 from leafcurrent.kernels import (
     REGIMES,
@@ -122,6 +123,21 @@ def test_kernel_matches_pinned_values(sing, s, y, value, evaluations):
     got = kernel_K(sing, s, y, CONFIG_TOL)
     assert got.value == pytest.approx(value, rel=1e-12)
     assert got.evaluations <= evaluations
+
+
+def test_kernel_evaluations_include_the_probe_pass(monkeypatch):
+    counts = []
+    real = kernels.integrate_2d
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(kernels, "integrate_2d", counted)
+    got = kernel_K(RATIO_SQUARE, 2.0, 10.0)
+    assert len(counts) == 2
+    assert got.evaluations == sum(counts)
 
 
 def test_kernel_two_coordinate_routes_agree():

@@ -26,6 +26,7 @@ import math
 import numpy as np
 import pytest
 
+from leafcurrent import mass
 from leafcurrent.currents import (
     CurrentSpec,
     algebraic_profile,
@@ -45,7 +46,7 @@ from leafcurrent.mass import (
     mass_upper_intermediate,
     profile_decay_slope,
 )
-from leafcurrent.quadrature import QuadratureError, Tolerance
+from leafcurrent.quadrature import QuadratureError, QuadResult, Tolerance
 
 RATIO_SQUARE = normalize_singularity(1, 1j)  # gamma = 2
 RATIO_SHALLOW = normalize_singularity(1, 1 + 1j)  # gamma = 4/3
@@ -141,7 +142,7 @@ def test_cauchy_mass_matches_pinned_values(r):
 
 
 @pytest.mark.parametrize("label", sorted(RATIOS))
-@pytest.mark.parametrize("current", ["cauchy", "triangle"])
+@pytest.mark.parametrize("current", ["cauchy", "triangle", "algebraic"])
 @pytest.mark.parametrize("r", [0.5, 2.0**-12])
 def test_mass_error_estimate_covers_tight_tolerance_error(label, current, r):
     sing = RATIOS[label]
@@ -345,6 +346,16 @@ def test_bound_pair_is_positive_with_moderate_ratio():
     lhs, rhs = bound_G_via_kernel(triangle_current(RATIO_SQUARE), RATIO_SQUARE, 0.5, y_order=8)
     assert lhs > 0.0 and rhs > 0.0
     assert 0.0 < lhs / rhs < 10.0
+
+
+def test_bound_with_explicit_tolerance_targets_G_like_mass_profile(monkeypatch):
+    # an explicit tolerance targets G = F/r^2: its absolute part is scaled by
+    # r^2 before mass_F, as in mass_profile; the right member is made cheap
+    monkeypatch.setattr(mass, "kernel_K", lambda *args: QuadResult(1.0, 0.0, 0))
+    cur = builtin_currents(RATIO_SQUARE)["cauchy"]
+    r, tol = 2.0**-12, Tolerance(rel_tol=1e-8, abs_tol=1e-10, max_evals=2_000_000)
+    lhs, _ = bound_G_via_kernel(cur, RATIO_SQUARE, r, tol=tol, y_order=2)
+    assert lhs == mass_profile(cur, RATIO_SQUARE, [r], tol=tol).G[0]
 
 
 def test_bound_scales_bilinearly_in_profile_height():

@@ -250,6 +250,15 @@ def test_visibility_horizon_guard():
     assert visibility_N(uni, 0, 3.0, 30.0, max_horizon=40.0) == 1.0
 
 
+@pytest.mark.parametrize("n_theta", [0, 1, 7])
+def test_visibility_needs_eight_angular_nodes(n_theta):
+    uni = square_uniformization()
+    with pytest.raises(ValueError, match="angular"):
+        visibility_N(uni, 0, 0.5, 5.0, n_theta=n_theta)
+    with pytest.raises(ValueError, match="angular"):
+        visibility_rows(uni, 0, (0.5, 0.25), 5.0, n_theta=n_theta)
+
+
 R_GRID_12 = tuple(2.0**-k for k in range(1, 13))
 
 
