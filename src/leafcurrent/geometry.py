@@ -36,6 +36,7 @@ __all__ = [
     "sector_to_halfplane",
     "halfplane_to_sector",
     "power_polar",
+    "power_polar_uv",
     "in_fundamental_annulus",
     "transversal_label",
 ]
@@ -172,12 +173,19 @@ def power_polar(zeta, gamma: float):
     or open upper half plane, whose polar angle is safely inside ``(0, pi)``.
     Returns ``(U, V)``.
     """
-    u = np.real(zeta)
-    v = np.imag(zeta)
+    return power_polar_uv(np.real(zeta), np.imag(zeta), gamma)
+
+
+def power_polar_uv(u, v, gamma: float):
+    """:func:`power_polar` of ``u + i v``, taking the real pair ``(u, v)``.
+
+    The 2D integrands start from the real pair, so they call this form and
+    build no complex array.
+    """
     rho = np.hypot(u, v)
-    theta = np.arctan2(v, u)
+    ang = gamma * np.arctan2(v, u)
     rg = rho**gamma
-    return rg * np.cos(gamma * theta), rg * np.sin(gamma * theta)
+    return rg * np.cos(ang), rg * np.sin(ang)
 
 
 def sector_to_halfplane(sing: Singularity, zeta: complex | SectorPoint) -> complex:

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .currents import BoundaryProfile, CurrentSpec, profile_extension
-from .geometry import Singularity, power_polar
+from .geometry import Singularity, power_polar_uv
 from .kernels import kernel_K
 from .quadrature import (
     DecayDescriptor,
@@ -135,7 +135,7 @@ def _ball_mass(
     def f(t, v):
         evals[0] += int(np.size(t))
         u = (t - a * v) / b
-        U, V = power_polar(u + 1j * v, gamma)
+        U, V = power_polar_uv(u, v, gamma)
         ext = np.asarray(profile_extension(profile, U, V), dtype=float)
         return front * ext * (np.exp(-2.0 * v) + lam_sq * np.exp(-2.0 * t))
 
@@ -274,7 +274,7 @@ def mass_upper_intermediate(
 
         def f(t, v):
             u = (t - a * v) / b
-            U, V = power_polar(u + 1j * v, gamma)
+            U, V = power_polar_uv(u, v, gamma)
             ext = np.asarray(profile_extension(profile, U, V), dtype=float)
             return ext * np.exp(-2.0 * np.minimum(t, v))
 

@@ -195,18 +195,10 @@ def _ladder(lo: float, hi: float) -> list[float]:
     return edges
 
 
-def _probe_amplitude(f, s, m_cut, x_lo, x_hi, q, p) -> float:
-    # sample the envelope ratio on the region {min in [s, m_cut], max in [x_lo, x_hi]}
-    ms = np.geomspace(max(s, 1e-12), m_cut, 12) if m_cut > s else np.array([s])
-    ms = np.clip(ms, s, m_cut)
-    xs = np.geomspace(max(x_lo, ms[-1] + 1e-9), x_hi, 14)
-    M, X = np.meshgrid(ms, xs, indexing="ij")
-    amp = 0.0
-    for tt, vv in ((X, M), (M, X)):  # both orientations: f need not be symmetric
-        vals = np.abs(np.asarray(f(tt, vv), dtype=float))
-        ratio = vals * np.exp(q * (np.minimum(tt, vv) - s)) * (1.0 + np.maximum(tt, vv)) ** p
-        amp = max(amp, float(np.nanmax(ratio)))
-    return 4.0 * amp
+# Doubling levels the max-direction cut may take, and the probe grid per level.
+_PROBE_LEVELS = 80
+_PROBE_MIN_POINTS = 12
+_PROBE_MAX_POINTS = 14
 
 
 def _truncate_corner(
@@ -214,21 +206,37 @@ def _truncate_corner(
 ) -> tuple[float, float, float, float]:
     """Cut points of ``{min(t, v) >= s}`` and the closed-form tail bounds beyond them.
 
-    Under the envelope ``A e^{-q (min - s)} (1 + max)^{-p}`` of ``decay`` (``A``
-    probed through ``f``), the max-direction cut doubles until the algebraic
-    tail bound over ``{max > x_cut}`` is at most ``target/4``;
-    the min-direction cut then grows in steps of 5, never past the max cut,
-    until the exponential tail bound over ``{min > m_cut}`` is too.  Both
-    bounds count the two orientations ``(t, v)`` and ``(v, t)``.  Returns
+    Under the envelope ``A e^{-q (min - s)} (1 + max)^{-p}`` of ``decay``, the
+    max-direction cut doubles until the algebraic tail bound over
+    ``{max > x_cut}`` is at most ``target/4``; the min-direction cut then grows
+    in steps of 5, never past the max cut, until the exponential tail bound
+    over ``{min > m_cut}`` is too.  At each level ``A`` is 4 times the largest
+    envelope ratio ``|f| / envelope`` (NaNs ignored) on a geometric grid of
+    ``min`` in ``[s, m_cut]`` times ``max`` in ``[x_cut, 8 x_cut]``, sampled in
+    both orientations ``(t, v)`` and ``(v, t)`` by one call of ``f``; both
+    tail bounds count the two orientations.  Returns
     ``(m_cut, x_cut, tail_exp, tail_alg)``.
     """
     q, p = decay.exp_rate, decay.alg_rate
-    A = 0.0
-    for _ in range(80):
-        A = _probe_amplitude(f, s, m_cut, x_cut, 8.0 * x_cut, q, p)
+    ms = np.geomspace(max(s, 1e-12), m_cut, _PROBE_MIN_POINTS) if m_cut > s else np.array([s])
+    ms = np.clip(ms, s, m_cut)
+    x_cuts = x_cut * 2.0 ** np.arange(_PROBE_LEVELS)
+    x_grids = np.geomspace(np.maximum(x_cuts, ms[-1] + 1e-9), 8.0 * x_cuts, _PROBE_MAX_POINTS, axis=-1)
+    M = np.broadcast_to(ms[:, None], (ms.size, _PROBE_MAX_POINTS))
+    # each sampled max exceeds each sampled min, so the envelope's inverse is
+    # a row factor in the min times a column factor in the max
+    rows = np.exp(q * (np.concatenate((ms, ms)) - s))[:, None]
+    columns = (1.0 + x_grids) ** p
+    for x_cut, xs, column in zip(x_cuts.tolist(), x_grids, columns):
+        X = np.broadcast_to(xs, M.shape)
+        # both orientations (t, v) and (v, t), stacked
+        vals = np.abs(np.asarray(f(np.concatenate((X, M)), np.concatenate((M, X))), dtype=float))
+        # fmax.reduce is a NaN-ignoring max; an all-NaN sample gives A = 0
+        A = 4.0 * max(0.0, float(np.fmax.reduce(vals * rows * column, axis=None)))
         tail_alg = 2.0 * A * (1.0 + x_cut) ** (1.0 - p) / (q * (p - 1.0))
         if tail_alg <= 0.25 * target or A == 0.0:
             break
+    else:
         x_cut *= 2.0
 
     def exp_tail(mc: float) -> float:
@@ -237,6 +245,11 @@ def _truncate_corner(
     while exp_tail(m_cut) > 0.25 * target and m_cut + 5.0 < x_cut:
         m_cut += 5.0
     return m_cut, x_cut, exp_tail(m_cut), tail_alg
+
+
+def _require_finite(values: np.ndarray, errors: np.ndarray) -> None:
+    if not (np.isfinite(values).all() and np.isfinite(errors).all()):
+        raise ValueError("the integrand returned a non-finite value on a quadrature panel")
 
 
 def _refine_panels(rule, split, panels, scores, tol: Tolerance, evals, tails, meta) -> QuadResult:
@@ -251,9 +264,12 @@ def _refine_panels(rule, split, panels, scores, tol: Tolerance, evals, tails, me
     in one ``rule`` call.  The closed-form ``tails`` are added to the
     reported error; ``evals()`` is the running evaluation count, and
     exceeding ``max_evals`` raises :class:`QuadratureError` carrying the
-    current estimate.
+    current estimate.  A non-finite panel value or error raises
+    :class:`ValueError` at once: refinement cannot cure a NaN integrand, and
+    it is a fault of the integrand, not a shortfall of the budget.
     """
     values, errors = (np.asarray(a, dtype=float) for a in scores)
+    _require_finite(values, errors)
     while True:
         value = float(values.sum())
         err = float(errors.sum())
@@ -274,7 +290,8 @@ def _refine_panels(rule, split, panels, scores, tol: Tolerance, evals, tails, me
         keep[chosen] = False
         children = [child for i in chosen for child in split(panels[i])]
         child_values, child_errors = rule(children)
-        panels = [panel for panel, kept in zip(panels, keep) if kept] + children
+        _require_finite(child_values, child_errors)
+        panels = [panel for panel, kept in zip(panels, keep.tolist()) if kept] + children
         values = np.concatenate((values[keep], child_values))
         errors = np.concatenate((errors[keep], child_errors))
 
@@ -292,7 +309,8 @@ def integrate_2d(
     where the algebraic tail bound drops below ``abs_tol/4``.  Both closed-form
     tail bounds are added to the error estimate, and the truncation bounds are
     recorded in ``meta``.  ``f`` must be elementwise over arrays of any
-    shape: it is called on whole stacks of panels at once.
+    shape: it is called on whole stacks of panels at once.  A non-finite
+    value of ``f`` on a panel raises :class:`ValueError`.
     """
     tol = _as_tol(tol)
     if not s > 0.0:

@@ -125,7 +125,48 @@ def test_kernel_matches_pinned_values(sing, s, y, value, evaluations):
     assert got.evaluations <= evaluations
 
 
-def test_kernel_evaluations_include_the_probe_pass(monkeypatch):
+# Bitwise pins of the explicit-tolerance path on the kernel-sweep cells (3
+# ratios x s in {1, 8, 64} x y in {0, 10, -1000}): value, error estimate and
+# evaluation count.  A rewrite of the truncation probe or of the integrand's
+# arithmetic that is meant to be exact must not move a bit.
+BITWISE_KERNEL = [
+    (RATIO_SQUARE, 1.0, 0.0, 0.36132861651663073, 3.6173778043111635e-09, 581712),
+    (RATIO_SQUARE, 1.0, 10.0, 0.22511528329517966, 2.25250369323415e-09, 403792),
+    (RATIO_SQUARE, 1.0, -1000.0, 0.024833304306186632, 2.444869009455715e-10, 95312),
+    (RATIO_SQUARE, 8.0, 0.0, 0.05900810354394558, 6.146030496989221e-10, 337872),
+    (RATIO_SQUARE, 8.0, 10.0, 0.05894952049246304, 6.123959200537147e-10, 337872),
+    (RATIO_SQUARE, 8.0, -1000.0, 0.02442657334683567, 2.6434212385138873e-10, 143952),
+    (RATIO_SQUARE, 64.0, 0.0, 0.007752396827652411, 9.188791514948761e-11, 182352),
+    (RATIO_SQUARE, 64.0, 10.0, 0.007752394586253527, 9.188781248488503e-11, 182352),
+    (RATIO_SQUARE, 64.0, -1000.0, 0.007730161204405299, 9.085302520638405e-11, 182352),
+    (RATIO_SHALLOW, 1.0, 0.0, 0.9121958922479628, 9.106412201074529e-09, 626336),
+    (RATIO_SHALLOW, 1.0, 10.0, 0.6244003718236584, 6.1637314045642836e-09, 248096),
+    (RATIO_SHALLOW, 1.0, -1000.0, 0.14851276554624412, 1.263388807439511e-09, 125856),
+    (RATIO_SHALLOW, 8.0, 0.0, 0.5023685672126997, 5.021592171806225e-09, 363968),
+    (RATIO_SHALLOW, 8.0, 10.0, 0.47909817007966626, 4.790887048646932e-09, 306368),
+    (RATIO_SHALLOW, 8.0, -1000.0, 0.1502568269710481, 1.3339244076234047e-09, 131648),
+    (RATIO_SHALLOW, 64.0, 0.0, 0.25546958283991267, 2.552985995000973e-09, 213568),
+    (RATIO_SHALLOW, 64.0, 10.0, 0.2549103126993741, 2.5744347794145567e-09, 211008),
+    (RATIO_SHALLOW, 64.0, -1000.0, 0.16315855091063747, 1.6524658384808982e-09, 153408),
+    (RATIO_STEEP, 1.0, 0.0, 0.01039067089735136, 1.2146234529237106e-10, 502192),
+    (RATIO_STEEP, 1.0, 10.0, 0.009890491436518519, 1.164770369871972e-10, 495792),
+    (RATIO_STEEP, 1.0, -1000.0, 0.0017810877300607664, 6.677220214186336e-11, 203312),
+    (RATIO_STEEP, 8.0, 0.0, 3.8672997200162836e-05, 6.924934294685225e-11, 54192),
+    (RATIO_STEEP, 8.0, 10.0, 3.867243666390426e-05, 6.92476829017299e-11, 54192),
+    (RATIO_STEEP, 8.0, -1000.0, 3.872849538721417e-05, 6.941388813420568e-11, 54192),
+    (RATIO_STEEP, 64.0, 0.0, 8.698390662472807e-08, 1.346240932056561e-11, 32736),
+    (RATIO_STEEP, 64.0, 10.0, 8.698390626489207e-08, 1.346240927210692e-11, 32736),
+    (RATIO_STEEP, 64.0, -1000.0, 8.698394260823084e-08, 1.346241416719646e-11, 32736),
+]
+
+
+@pytest.mark.parametrize("sing, s, y, value, error, evaluations", BITWISE_KERNEL)
+def test_kernel_explicit_tolerance_is_bitwise_pinned(sing, s, y, value, error, evaluations):
+    got = kernel_K(sing, s, y, CONFIG_TOL)
+    assert (got.value, got.error_estimate, got.evaluations) == (value, error, evaluations)
+
+
+def _count_passes(monkeypatch):
     counts = []
     real = kernels.integrate_2d
 
@@ -135,9 +176,29 @@ def test_kernel_evaluations_include_the_probe_pass(monkeypatch):
         return res
 
     monkeypatch.setattr(kernels, "integrate_2d", counted)
+    return counts
+
+
+def test_kernel_default_is_one_pass(monkeypatch):
+    counts = _count_passes(monkeypatch)
+    got = kernel_K(RATIO_SQUARE, 2.0, 10.0)
+    assert len(counts) == 1
+    assert got.evaluations == counts[0]
+    assert got.error_estimate <= 2e-6 * got.value
+
+
+def test_kernel_default_takes_a_second_pass_when_the_envelope_overshoots(monkeypatch):
+    # an envelope 1e4 times too large puts the first pass's absolute floor
+    # above 1e-6 K, so a second pass must restore the relative target
+    plain = kernel_K(RATIO_SQUARE, 2.0, 10.0)
+    counts = _count_passes(monkeypatch)
+    real_envelope = kernels.bound_envelope
+    monkeypatch.setattr(kernels, "bound_envelope", lambda *args: 1e4 * real_envelope(*args))
     got = kernel_K(RATIO_SQUARE, 2.0, 10.0)
     assert len(counts) == 2
     assert got.evaluations == sum(counts)
+    assert got.value == pytest.approx(plain.value, rel=1e-6)
+    assert got.error_estimate <= 2e-6 * got.value
 
 
 def test_kernel_two_coordinate_routes_agree():
@@ -180,6 +241,19 @@ def test_kernel_requires_positive_start():
         kernel_K(RATIO_SQUARE, 0.0, 1.0)
     with pytest.raises(ValueError):
         kernel_uv_form(RATIO_SQUARE, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("s, y", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
+def test_kernel_rejects_non_finite_inputs(monkeypatch, s, y):
+    # rejected before any quadrature: unchecked, an infinite depth exhausts
+    # the evaluation budget and surfaces as a failed cell, an infinite height
+    # gives 0.0 and a NaN height a misleading tolerance error
+    counts = _count_passes(monkeypatch)
+    with pytest.raises(ValueError, match="finite"):
+        kernel_K(RATIO_SQUARE, s, y)
+    with pytest.raises(ValueError, match="finite"):
+        kernel_K(RATIO_SQUARE, s, y, CONFIG_TOL)
+    assert counts == []
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +594,4 @@ def test_scale_factor_values():
     assert float(scale_factor(RATIO_STEEP, -15.0)) == pytest.approx(2.0)
     arr = scale_factor(RATIO_SQUARE, np.array([0.0, 3.0]))
     assert arr == pytest.approx([1.0, 2.0])
+

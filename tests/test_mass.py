@@ -141,6 +141,25 @@ def test_cauchy_mass_matches_pinned_values(r):
     assert mass_F(cur, RATIO_SQUARE, r).value == pytest.approx(PINNED_CAUCHY_SQUARE[r], rel=1e-8)
 
 
+# Bitwise pins of the default-tolerance mass at lambda = i: value, error
+# estimate and evaluation count.  A rewrite of the truncation probe or of the
+# integrand's arithmetic that is meant to be exact must not move a bit.
+BITWISE_MASS_SQUARE = [
+    ("triangle", 0.25, 0.010269217003914428, 6.583670688163914e-12, 207872),
+    ("triangle", 0.000244140625, 2.1477588826972155e-09, 6.658860607060562e-19, 275744),
+    ("cauchy", 0.25, 0.030994725289035296, 2.115481532551026e-11, 207872),
+    ("cauchy", 0.000244140625, 6.7331010590086e-09, 2.085101508324875e-18, 275744),
+    ("algebraic", 0.25, 0.03339063553442172, 2.610524499518505e-11, 207872),
+    ("algebraic", 0.000244140625, 8.211381559489722e-09, 2.5925536138123763e-18, 275744),
+]
+
+
+@pytest.mark.parametrize("current, r, value, error, evaluations", BITWISE_MASS_SQUARE)
+def test_mass_is_bitwise_pinned(current, r, value, error, evaluations):
+    got = mass_F(builtin_currents(RATIO_SQUARE)[current], RATIO_SQUARE, r)
+    assert (got.value, got.error_estimate, got.evaluations) == (value, error, evaluations)
+
+
 @pytest.mark.parametrize("label", sorted(RATIOS))
 @pytest.mark.parametrize("current", ["cauchy", "triangle", "algebraic"])
 @pytest.mark.parametrize("r", [0.5, 2.0**-12])

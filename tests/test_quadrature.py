@@ -21,6 +21,7 @@ from leafcurrent.quadrature import (
     DecayDescriptor,
     QuadratureError,
     Tolerance,
+    _truncate_corner,
     integrate_1d,
     integrate_2d,
 )
@@ -110,6 +111,38 @@ def test_budget_exhaustion_raises_with_best_estimate():
     best = exc.value.best
     assert best is not None
     assert best.value == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-2)
+
+
+@pytest.mark.parametrize("target, levels", [(1e-4, 9), (1e-10, 22), (1e-16, 36)])
+def test_truncation_probe_calls_the_integrand_once_per_doubling_level(target, levels):
+    shapes = []
+
+    def f(t, v):
+        shapes.append(np.shape(t))
+        return np.exp(2.0 - 2.0 * np.minimum(t, v)) / (1.0 + np.maximum(t, v)) ** 2.5
+
+    m_cut, x_cut, tail_exp, tail_alg = _truncate_corner(
+        f, 1.0, DecayDescriptor(exp_rate=1.9, alg_rate=2.5), target, 11.0, 12.0
+    )
+    assert x_cut == 12.0 * 2.0 ** (levels - 1)
+    # each call samples both orientations: 2 x 12 depths x 14 maxima
+    assert shapes == [(24, 14)] * levels
+    assert tail_alg <= 0.25 * target and tail_exp <= 0.25 * target
+
+
+def test_nan_integrand_fails_fast():
+    calls = []
+
+    def f(t, v):
+        calls.append(np.size(t))
+        out = np.exp(2.0 - 2.0 * np.minimum(t, v)) * np.exp(-t - v)
+        return np.where((t > 3.0) & (t < 4.0), np.nan, out)
+
+    # a programming fault, not a budget shortfall: neither a QuadratureError
+    # nor a refinement that splits every panel until the budget is gone
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_2d(f, 1.0, EXP_DECAY, Tolerance(rel_tol=1e-8, abs_tol=1e-10, max_evals=2_000_000))
+    assert sum(calls) < 100_000
 
 
 def test_tolerance_validation():
