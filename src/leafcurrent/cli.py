@@ -17,6 +17,11 @@ run actually performed.  The output directory resolves in the order:
 ``--out`` flag, config ``outputs.directory``, the ``LEAFCURRENT_OUT``
 environment variable, then ``./leafcurrent-reports``.
 
+One tolerance rule holds for every quadrature stage: a ``tolerances``
+section or ``--tol`` that changes the default document's values reaches
+``kernel-bound`` and ``profile`` alike; otherwise each stage uses its own
+relative default (``kernel_K``: 1e-6 of ``K``; ``mass_F``: 1e-8 of ``F``).
+
 Exit codes: 0 on success; 1 when a quadrature stage failed to converge
 (partial reports are still written, with the failure flagged in the
 bundle warnings); 2 on configuration errors (with a line/field
@@ -94,12 +99,14 @@ class _RunState:
         self.failed = True
         self.warn(message)
 
-    def mass_tolerance(self) -> Tolerance | None:
-        """Explicit tolerance only when the config overrides the default.
+    def tolerance_override(self) -> Tolerance | None:
+        """The config's tolerance when it differs from the default, else ``None``.
 
-        The mass quadrature's default is relative to the mass itself; an
-        explicit tolerance replaces it, with ``mass_profile`` applying its
-        absolute target to ``G = F/r^2``.
+        This is the one tolerance rule of every quadrature stage: a
+        ``tolerances`` section or ``--tol`` that changes the default reaches
+        ``kernel_report`` and ``mass_profile`` as given (``mass_profile``
+        applying its absolute target to ``G = F/r^2``); otherwise each stage
+        runs its own default, which is relative to the quantity it computes.
         """
         if self.cfg.resolved["tolerances"] == default_document()["tolerances"]:
             return None
@@ -136,7 +143,7 @@ def _run_kernel(state: _RunState) -> None:
         tag = _lambda_tag(sing)
         try:
             report = kernel_report(
-                sing, cfg.s_grid, cfg.y_grid, tol=cfg.tolerance, refine=refine
+                sing, cfg.s_grid, cfg.y_grid, tol=state.tolerance_override(), refine=refine
             )
         except (QuadratureError, RuntimeError) as exc:
             state.fail(f"kernel sweep {tag}: {exc}")
@@ -206,7 +213,7 @@ def _run_regimes(state: _RunState) -> None:
 def _run_profile(state: _RunState) -> None:
     cfg = state.cfg
     sing = cfg.singularities()[0]
-    tol = state.mass_tolerance()
+    tol = state.tolerance_override()
     for label, spec in cfg.currents(sing).items():
         try:
             prof = mass_profile(spec, sing, cfg.r_grid, tol=tol)

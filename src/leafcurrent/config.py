@@ -36,6 +36,7 @@ from .currents import (
     zero_profile,
 )
 from .geometry import NonHyperbolicError, Singularity, normalize_singularity
+from .mass import _check_radius
 from .quadrature import Tolerance
 
 __all__ = [
@@ -275,6 +276,10 @@ def parse_config(document: Mapping | None, overrides: Mapping | None = None) -> 
     r_grid = tuple(float(r) for r in grids["rGrid"])
     if any(b >= a for a, b in zip(r_grid, r_grid[1:])):
         raise ConfigError("config error at grids.rGrid: radii must be strictly decreasing")
+    try:
+        _check_radius(r_grid[-1])
+    except ValueError as exc:
+        raise ConfigError(f"config error at grids.rGrid: {exc}") from None
 
     tol_doc = resolved["tolerances"]
     tolerance = Tolerance(

@@ -612,6 +612,8 @@ class KernelCell:
     bound_ratio: float
     ok: bool
     message: str = ""
+    # integrand evaluations of the cell's kernel_K call, a failed one's included
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
@@ -658,11 +660,17 @@ def _evaluate_grid(sing, points, tol) -> list[KernelCell]:
         try:
             res = kernel_K(sing, s, y, tol)
             cells.append(
-                KernelCell(s=s, y=y, K=res.value, K_err=res.error_estimate, bound_ratio=res.value / env, ok=True)
+                KernelCell(
+                    s=s, y=y, K=res.value, K_err=res.error_estimate, bound_ratio=res.value / env, ok=True,
+                    evaluations=res.evaluations,
+                )
             )
         except QuadratureError as err:  # keep the sweep alive; flag the cell
             cells.append(
-                KernelCell(s=s, y=y, K=math.nan, K_err=math.nan, bound_ratio=math.nan, ok=False, message=str(err))
+                KernelCell(
+                    s=s, y=y, K=math.nan, K_err=math.nan, bound_ratio=math.nan, ok=False, message=str(err),
+                    evaluations=err.best.evaluations,
+                )
             )
     return cells
 

@@ -27,6 +27,7 @@ already a few thousand points, so it is not stacked with others).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -67,6 +68,24 @@ def default_r_grid(levels: int = 12) -> tuple[float, ...]:
 
 
 _gl = cache(leggauss)
+
+# Smallest supported radius: below it the default absolute floor of
+# ``mass_F``, ``1e-16 r^2``, leaves the normal double range, and ``F ~ r^2 G``
+# itself nears the subnormal range, where the quadrature loses its relative
+# accuracy (at ``r = 1e-154`` that floor is 0, and ``mass_upper_intermediate``
+# exhausts its budget).
+_MIN_RADIUS = math.sqrt(sys.float_info.min / 1e-16)
+
+
+def _check_radius(r: float) -> None:
+    if not 0.0 < r < 1.0:
+        raise ValueError("r must lie in (0, 1)")
+    if r < _MIN_RADIUS:
+        raise ValueError(
+            f"r = {r!r} is below the smallest supported radius {_MIN_RADIUS:.4g} "
+            "(mass in a smaller ball underflows double precision)"
+        )
+
 
 # Inner ladder in ``w = m - lower(x)``: half-unit steps where the weight
 # ``e^{-2w}`` carries most of the mass, then steps of 2 out to the cut.
@@ -233,10 +252,11 @@ def mass_F(
     measure, the integral of the harmonic leaf density against the leaf area
     element ``(e^{-2v} + |lam|^2 e^{-2t}) * 2 du dv`` over the exact ball
     region.  Nonnegative, and nondecreasing in ``r``.  The default tolerance
-    is relative, ``1e-8``, with an absolute floor of ``1e-16 r^2``.
+    is relative, ``1e-8``, with an absolute floor of ``1e-16 r^2``.  Radii
+    below about ``1.49e-146`` raise ``ValueError``: that floor and the mass
+    itself leave the normal double range there.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
+    _check_radius(r)
     spec.validate_against(sing)
     if tol is None:
         tol = Tolerance(rel_tol=1e-8, abs_tol=1e-16 * r * r, max_evals=4_000_000)
@@ -259,10 +279,10 @@ def mass_upper_intermediate(
     dominates :func:`mass_F` at the same radius.  It is also the
     kernel-weighted boundary mass of :func:`bound_G_via_kernel` (Fubini),
     up to the factor ``2 (1+|lam|)^2 r^2 / pi``.  Like :func:`mass_F`, it
-    raises :class:`QuadratureError` for a profile whose mass diverges.
+    raises :class:`QuadratureError` for a profile whose mass diverges, and
+    its smallest radius is ``mass_F``'s.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
+    _check_radius(r)
     spec.validate_against(sing)
     s_r = -math.log(r)
     a, b, gamma = sing.a, sing.b, sing.gamma
@@ -332,8 +352,8 @@ def mass_profile(
     grid = tuple(float(r) for r in (default_r_grid() if r_grid is None else r_grid))
     if not grid:
         raise ValueError("radius grid must be nonempty")
-    if any(not 0.0 < r < 1.0 for r in grid):
-        raise ValueError("radii must lie in (0, 1)")
+    for r in grid:
+        _check_radius(r)
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("radius grid must be strictly decreasing")
 
@@ -414,20 +434,27 @@ def bound_G_via_kernel(
     sing: Singularity,
     r: float,
     tol: Tolerance | None = None,
-    y_order: int = 16,
+    y_order: int | None = None,
 ) -> tuple[float, float]:
     """Pair ``(G(r), kernel-weighted boundary mass at s = -log r)``.
 
     The right member dominates the left up to a fixed constant of the
     singularity; both are returned so callers can track the empirical ratio.
-    An explicit ``tol`` targets ``G`` as in :func:`mass_profile` and reaches
-    each :func:`~leafcurrent.kernels.kernel_K` call unchanged.
-    ``y_order`` is the Gauss-Legendre order per panel of the boundary
-    integral (doubling it is the natural refinement study).
+    An explicit ``tol`` targets ``G`` as in :func:`mass_profile`.
+
+    By default (``y_order=None``) the right member is exact: by Fubini it is
+    ``pi * mass_upper_intermediate / (2 (1+|lam|)^2 r^2)``, one 2D
+    quadrature on the profile's extension, whose ``tol`` is scaled as for
+    ``G``.  An integer ``y_order`` instead integrates ``H(y) K_s(y)`` on
+    Gauss-Legendre panels of that order in ``y`` (doubling it is the natural
+    refinement study), with ``tol`` reaching each
+    :func:`~leafcurrent.kernels.kernel_K` call unchanged; a decaying profile
+    is cut there at ``|y| = 10^6`` without an error term.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
     lhs = mass_F(spec, sing, r, _tolerance_for_G(tol, r)).value / (r * r)
+    if y_order is None:
+        upper = mass_upper_intermediate(spec, sing, r, _tolerance_for_G(tol, r)).value
+        return lhs, math.pi * upper / (2.0 * (1.0 + abs(sing.lam)) ** 2 * r * r)
     s = -math.log(r)
     nodes, weights = _gl(y_order)
     rhs = 0.0

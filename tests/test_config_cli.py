@@ -77,6 +77,8 @@ def test_grid_range_violation_names_the_field() -> None:
         parse_config({"grids": {"rGrid": [1.5]}})
     with pytest.raises(ConfigError, match="decreasing"):
         parse_config({"grids": {"rGrid": [0.25, 0.5]}})
+    with pytest.raises(ConfigError, match=r"grids\.rGrid: r = 1e-150 is below the smallest supported radius"):
+        parse_config({"grids": {"rGrid": [0.5, 1e-150]}})
 
 
 def test_monte_carlo_without_seed_is_rejected() -> None:
@@ -335,6 +337,63 @@ def test_kernel_bound_refine_adds_drift_column(tmp_path) -> None:
     assert len(drifts) == 1
     for line in lines[1:]:
         assert 0.0 < float(line.split(",")[4]) < 10.0
+
+
+@pytest.mark.parametrize(
+    "document, flags",
+    [
+        ({}, []),
+        ({"tolerances": {"relTol": 1e-7, "absTol": 1e-12}}, []),
+        ({}, ["--tol", "1e-7"]),
+    ],
+    ids=["default", "config", "flag"],
+)
+def test_stages_share_one_tolerance_rule(tmp_path, monkeypatch, document, flags) -> None:
+    # kernel-bound and profile receive the config tolerance only when it
+    # differs from the default document; otherwise None, each stage's own
+    # relative default
+    import leafcurrent.cli as cli
+
+    seen = {}
+
+    def recording(name, real):
+        def call(*args, tol=None, **kwargs):
+            seen[name] = tol
+            return real(*args, tol=tol, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "kernel_report", recording("kernel", cli.kernel_report))
+    monkeypatch.setattr(cli, "mass_profile", recording("profile", cli.mass_profile))
+    config = _write(
+        tmp_path / "c.json",
+        {**document, "current": "zero", "grids": {"sGrid": [8.0], "yGrid": [0.0], "rGrid": [0.5]}},
+    )
+    for command in (["kernel-bound", "--gamma-from-lambda", "i"], ["profile"]):
+        argv = [*command, "--config", config, *flags, "--out", str(tmp_path / "out")]
+        assert run_command(argv) == 0
+    if not document and not flags:
+        assert seen == {"kernel": None, "profile": None}
+    else:
+        cfg = load_config(config, {"tolerances": {"relTol": 1e-7}} if flags else None)
+        assert cfg.tolerance.rel_tol == 1e-7
+        assert seen == {"kernel": cfg.tolerance, "profile": cfg.tolerance}
+
+
+def test_default_kernel_cells_are_relatively_accurate(tmp_path) -> None:
+    # at s = 128, y = 1e4 the kernel is 1.1e-8: an absolute 1e-10 target
+    # would leave K_err/K near 1.8e-4, kernel_K's relative default 1e-6
+    config = _write(
+        tmp_path / "c.json", {"grids": {"sGrid": [128.0], "yGrid": [0.0, 10000.0, -10000.0]}}
+    )
+    rc = run_command(
+        ["kernel-bound", "--config", config, "--gamma-from-lambda=-1+i", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 0
+    lines = (tmp_path / "out" / "kernel_lm1_1.csv").read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        s, y, K, K_err = (float(cell) for cell in line.split(",")[:4])
+        assert 0.0 < K_err <= 1e-5 * K
 
 
 def test_identical_config_and_seed_reproduce_bytes(tmp_path) -> None:

@@ -299,6 +299,7 @@ def test_kernel_report_flags_quadrature_failures_and_raises_bugs(monkeypatch):
     (failed,) = report.failed_cells
     assert (failed.y, failed.ok, failed.message) == (10.0, False, "budget gone")
     assert math.isnan(failed.K)
+    assert failed.evaluations == 100  # the failed call's spent budget
 
     def broken_kernel(sing, s, y, tol=None):
         raise TypeError("programming error")
@@ -306,6 +307,18 @@ def test_kernel_report_flags_quadrature_failures_and_raises_bugs(monkeypatch):
     monkeypatch.setattr("leafcurrent.kernels.kernel_K", broken_kernel)
     with pytest.raises(TypeError, match="programming error"):
         kernel_report(RATIO_SQUARE, s_grid=(2.0,), y_grid=(0.0, 10.0))
+
+
+def test_kernel_report_cells_count_their_evaluations():
+    # the kernel-sweep cells at lambda = i: kernel_K's relative default
+    # takes fewer integrand evaluations than the config tolerance
+    grids = (1.0, 8.0, 64.0), (0.0, 10.0, -1000.0)
+    default = kernel_report(RATIO_SQUARE, *grids)
+    explicit = kernel_report(RATIO_SQUARE, *grids, tol=Tolerance(1e-8, 1e-10, 2_000_000))
+    for report in (default, explicit):
+        assert len(report.cells) == 9 and all(c.evaluations > 0 for c in report.cells)
+    assert default.cells[0].evaluations == kernel_K(RATIO_SQUARE, 1.0, -1000.0).evaluations
+    assert sum(c.evaluations for c in default.cells) < sum(c.evaluations for c in explicit.cells)
 
 
 def test_kernel_report_refinement_reuses_coarse_cells(monkeypatch):

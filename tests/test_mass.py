@@ -102,6 +102,26 @@ def test_mass_rejects_radius_outside_unit_interval():
             mass_F(cur, RATIO_SQUARE, r)
 
 
+def test_mass_rejects_radius_below_the_smallest_supported_one():
+    # mass_F's default floor 1e-16 r^2 underflows to 0 near r = 1e-154; the
+    # radius is rejected up front with the limit named, for every mass route
+    cur = default_current(RATIO_SQUARE, cauchy_profile())
+    deep = math.exp(-360.0)
+    calls = (
+        lambda: mass_F(cur, RATIO_SQUARE, deep),
+        lambda: mass_upper_intermediate(cur, RATIO_SQUARE, deep),
+        lambda: mass_profile(cur, RATIO_SQUARE, (0.5, deep)),
+        lambda: bound_G_via_kernel(cur, RATIO_SQUARE, deep),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"smallest supported radius {mass._MIN_RADIUS:.4g}"):
+            call()
+    # at the limit both routes keep their default relative accuracy
+    for fn, rel in ((mass_F, 1e-8), (mass_upper_intermediate, 1e-7)):
+        res = fn(cur, RATIO_SQUARE, mass._MIN_RADIUS)
+        assert 0.0 < res.error_estimate <= rel * res.value
+
+
 def test_mass_is_linear_in_transverse_weight():
     prof = cauchy_profile()
     atom = complex(math.exp(-math.pi * RATIO_SQUARE.b))
@@ -229,17 +249,30 @@ def test_intermediate_bound_of_too_slowly_decaying_profile_is_reported_divergent
 
 def test_intermediate_bound_is_the_kernel_weighted_boundary_mass():
     # Fubini: int H K_s dy = pi e^{2s} (1/b) iint_{min >= s} ext e^{-2 min},
-    # so bound_G_via_kernel's right member is pi * upper / (2 (1+|lam|)^2 r^2),
-    # and refining its y rule converges to that exact value
+    # so bound_G_via_kernel's default (exact) right member is
+    # pi * upper / (2 (1+|lam|)^2 r^2), and refining the per-node y rule
+    # converges to it
     sing, r = RATIO_SQUARE, 2.0**-2
     cur = default_current(sing, cauchy_profile())
     upper = mass_upper_intermediate(cur, sing, r).value
-    exact = math.pi * upper / (2.0 * (1.0 + abs(sing.lam)) ** 2 * r * r)
+    _, exact = bound_G_via_kernel(cur, sing, r)
+    assert exact == math.pi * upper / (2.0 * (1.0 + abs(sing.lam)) ** 2 * r * r)
     gap_8, gap_16 = (
         abs(bound_G_via_kernel(cur, sing, r, y_order=n)[1] / exact - 1.0) for n in (8, 16)
     )
     assert gap_16 < 1e-6
     assert gap_16 <= gap_8 / 10.0
+
+
+def test_exact_boundary_mass_keeps_the_tail_the_y_window_drops():
+    # the per-node route cuts a decaying profile at |y| = 10^6; for the
+    # algebraic one (H ~ |y|^-3/2) the exact route keeps the mass beyond
+    # that window, about 1.9e-6 of the total
+    sing, r = RATIO_SQUARE, 2.0**-2
+    cur = builtin_currents(sing)["algebraic"]
+    _, exact = bound_G_via_kernel(cur, sing, r)
+    _, windowed = bound_G_via_kernel(cur, sing, r, y_order=16)
+    assert 1e-6 < exact / windowed - 1.0 < 1e-5
 
 
 # ---------------------------------------------------------------------------
