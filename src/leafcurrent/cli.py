@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-bound", parents=[common], help="kernel decay-bound sweep")
     p.add_argument(
         "--gamma-from-lambda", metavar="LAMBDA",
-        help="complex eigenvalue ratio, e.g. 'i', '1+i', '-1+i'",
+        help="complex eigenvalue ratio, e.g. 'i', '1+i'; give a value that starts "
+        "with '-' in the joined form --gamma-from-lambda=-1+i",
     )
     sub.add_parser("regimes", parents=[common], help="comparability bands")
     p = sub.add_parser("profile", parents=[common], help="ball-mass profiles")

@@ -12,16 +12,17 @@ dominated-convergence argument for that limit.
 Ball membership on a leaf is exact: in leaf coordinates the squared distance
 to the origin is ``e^{-2v} + e^{-2t}``, so the region of integration is the
 set where that quantity is at most ``r^2``, a curved quadrant asymptotic to
-``{min(v, t) >= -log r}``.  ``mass_F`` splits it at the diagonal ``t = v``:
-with ``x = max(t, v)`` and ``m = min(t, v)`` each half is
-``{x >= -log r + log(2)/2, lower(x) <= m <= x}`` with a bounded exact lower
-boundary, and both halves are integrated together on adaptive
-Gauss-Legendre panels in ``(x, m)``, each evaluated by vectorized numpy
-calls over a few thousand points and refined by the panel engine of
-:func:`~leafcurrent.quadrature.integrate_2d`: each round splits the fewest
-worst panels whose errors cover the excess over the tolerance, and the
-per-panel rule and split are mapped over that round's list (a panel is
-already a few thousand points, so it is not stacked with others).
+the corner ``{min(v, t) >= s}``, ``s = -log r``.  ``mass_F`` pulls it back
+onto that corner exactly: with ``q(X) = e^{-2(X - s)}/2``, the chart
+``t = T - log(1 - q(V))/2``, ``v = V - log(1 - q(T))/2`` maps
+``{min(T, V) >= s}`` onto the ball.  In the variables ``(e^{-2T}, e^{-2V})``
+it is the smooth bijection ``(a, b) -> (a (1 - b/2r^2), b (1 - a/2r^2))`` of
+the square ``[0, r^2]^2`` onto the triangle ``a + b <= r^2``, and its
+Jacobian ``1 - q(T) q(V) / ((1 - q(T)) (1 - q(V)))`` vanishes only at the
+corner point, and only linearly.  So ``mass_F`` and
+``mass_upper_intermediate`` run on the one corner-domain panel engine,
+:func:`~leafcurrent.quadrature.integrate_2d`, and differ only in the
+factor they integrate the extension against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -37,16 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from .currents import BoundaryProfile, CurrentSpec, profile_extension
 from .geometry import Singularity, power_polar_uv
 from .kernels import kernel_K
-from .quadrature import (
-    DecayDescriptor,
-    QuadratureError,
-    QuadResult,
-    Tolerance,
-    _ladder,
-    _refine_panels,
-    _truncate_corner,
-    integrate_2d,
-)
+from .quadrature import DecayDescriptor, QuadratureError, QuadResult, Tolerance, integrate_2d
 
 __all__ = [
     "MassProfile",
@@ -67,8 +58,6 @@ def default_r_grid(levels: int = 12) -> tuple[float, ...]:
     return tuple(2.0**-k for k in range(1, levels + 1))
 
 
-_gl = cache(leggauss)
-
 # Smallest supported radius: below it the default absolute floor of
 # ``mass_F``, ``1e-16 r^2``, leaves the normal double range, and ``F ~ r^2 G``
 # itself nears the subnormal range, where the quadrature loses its relative
@@ -85,23 +74,6 @@ def _check_radius(r: float) -> None:
             f"r = {r!r} is below the smallest supported radius {_MIN_RADIUS:.4g} "
             "(mass in a smaller ball underflows double precision)"
         )
-
-
-# Inner ladder in ``w = m - lower(x)``: half-unit steps where the weight
-# ``e^{-2w}`` carries most of the mass, then steps of 2 out to the cut.
-_W_LADDER = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0)
-
-
-def _w_edges(w_cut: float, s_r: float) -> np.ndarray:
-    # below w = 1/2 the steps also stay within ``m = s_r + w`` itself: near a
-    # sector edge (m -> 0) the extension varies on the scale of m
-    edges = [0.0]
-    while 2.0 * edges[-1] + s_r < 0.5:
-        edges.append(2.0 * edges[-1] + s_r)
-    edges += [e for e in _W_LADDER if e < w_cut]
-    while edges[-1] + 2.0 < w_cut:
-        edges.append(edges[-1] + 2.0)
-    return np.array([*edges, w_cut])
 
 
 def _leaf_decay_rate(profile: BoundaryProfile, gamma: float) -> float:
@@ -124,123 +96,44 @@ def _leaf_decay_rate(profile: BoundaryProfile, gamma: float) -> float:
     return p
 
 
-def _ball_mass(
-    profile: BoundaryProfile, sing: Singularity, r: float, tol: Tolerance
+def _corner_mass(
+    spec: CurrentSpec, sing: Singularity, r: float, tol: Tolerance, chart
 ) -> QuadResult:
-    """``(2/b) iint_{ball} ext(U,V) (e^{-2v} + |lam|^2 e^{-2t}) dt dv`` on GL panels.
+    """``sum_k weight_k (2/b) iint_{min(T, V) >= -log r} ext_k(t, v) w dT dV``.
 
-    The ball region is symmetric about the diagonal ``t = v``, which meets its
-    boundary at ``d = -log r + log(2)/2``.  With ``x = max(t, v)`` and
-    ``m = min(t, v)`` both halves become ``{x >= d, lower(x) <= m <= x}``, where
-    ``lower`` is the exact boundary, bounded for ``x >= d``; one pass over
-    that set integrates the symmetrized integrand ``f(x, m) + f(m, x)``.
-    A panel ``[x0, x1] x [w0, w1]`` in ``(x, w = m - lower(x))`` is a tensor
-    rule: Gauss-Legendre nodes in ``x`` times a composite rule on the ladder
-    in ``w``, clipped at the diagonal ``w = x - lower(x)``.  A panel's error
-    is the 8-vs-16-node difference in ``x`` plus the 8-vs-16-node difference
-    of the inner rule at the 8 outer nodes; the worst panel is halved in the
-    direction whose error dominates.  The truncations in ``x`` and ``w``
-    carry the closed-form tail bounds of the envelope
-    ``A e^{-1.5 (m + log r)} (1 + x)^{-p}``, with ``p = gamma + 1`` or
-    ``gamma * beta`` for a boundary profile decaying like ``|y|^{-beta}``.
+    ``chart(T, V)`` returns the leaf coordinates ``(t, v)`` at which the
+    extension is taken and the weight ``w`` it is integrated against; each
+    profile is one :func:`~leafcurrent.quadrature.integrate_2d` call.  A
+    budget shortfall re-raises :class:`QuadratureError` whose ``best`` is
+    the weighted sum so far, the failed profile's estimate included.
     """
     s_r = -math.log(r)
-    d = s_r + 0.5 * math.log(2.0)
     a, b, gamma = sing.a, sing.b, sing.gamma
-    lam_sq = abs(sing.lam) ** 2
-    front = 2.0 / b
-    evals = [0]
+    total, err, evals = 0.0, 0.0, 0
+    for profile, weight in spec.effective_profiles():
+        decay = DecayDescriptor(exp_rate=1.5, alg_rate=_leaf_decay_rate(profile, gamma))
 
-    def f(t, v):
-        evals[0] += int(np.size(t))
-        u = (t - a * v) / b
-        U, V = power_polar_uv(u, v, gamma)
-        ext = np.asarray(profile_extension(profile, U, V), dtype=float)
-        return front * ext * (np.exp(-2.0 * v) + lam_sq * np.exp(-2.0 * t))
+        def f(T, V):
+            t, v, w = chart(T, V)
+            hu, hv = power_polar_uv((t - a * v) / b, v, gamma)
+            return (2.0 / b) * np.asarray(profile_extension(profile, hu, hv), dtype=float) * w
 
-    def lower(x):
-        # exact ball boundary: e^{-2m} = r^2 - e^{-2x}, stable near x = s_r
-        return s_r - 0.5 * np.log(-np.expm1(-2.0 * (x - s_r)))
-
-    def inner(xs, n, w0, w1, ladder):
-        """Integral over ``w`` in ``[w0, min(w1, x - lower(x))]`` at each outer node.
-
-        ``n`` nodes on each ladder segment inside ``[w0, w1]``.
-        """
-        lo = lower(xs)
-        top = xs - lo
-        edges = np.concatenate(([w0], ladder[(ladder > w0) & (ladder < w1)], [w1]))
-        k = min(int(np.searchsorted(edges, top.max())), len(edges) - 1)
-        e0 = np.minimum(edges[:k], top[:, None])
-        e1 = np.minimum(edges[1 : k + 1], top[:, None])
-        half = 0.5 * (e1 - e0)
-        nodes, weights = _gl(n)
-        w = (0.5 * (e0 + e1))[..., None] + half[..., None] * nodes
-        X = np.broadcast_to(xs[:, None, None], w.shape)
-        M = lo[:, None, None] + w
-        return ((f(X, M) + f(M, X)) @ weights * half).sum(axis=1)
-
-    inner_dominates = {}
-
-    def rule(panel, ladder):
-        x0, x1, w0, w1 = panel
-        mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-        nodes_hi, w_hi = _gl(16)
-        nodes_lo, w_lo = _gl(8)
-        hi = half * float(w_hi @ inner(mid + half * nodes_hi, 16, w0, w1, ladder))
-        coarse_x = mid + half * nodes_lo
-        fine_w = inner(coarse_x, 16, w0, w1, ladder)
-        outer_err = abs(hi - half * float(w_lo @ fine_w))
-        inner_err = half * float(w_lo @ np.abs(fine_w - inner(coarse_x, 8, w0, w1, ladder)))
-        inner_dominates[panel] = inner_err > outer_err
-        return hi, outer_err + inner_err
-
-    p = _leaf_decay_rate(profile, gamma)
-    # the integrand is nonnegative, so the corner panel's value bounds the
-    # total from below and sets the tails' share of the relative tolerance;
-    # the diagonal keeps it below w = 2, so the cut does not matter there
-    corner = (d, d + 1.0, 0.0, 5.0)
-    corner_value, corner_err = rule(corner, _w_edges(5.0, s_r))
-    m_cut, x_cut, tail_w, tail_x = _truncate_corner(
-        f,
-        s_r,
-        DecayDescriptor(exp_rate=1.5, alg_rate=p),
-        max(tol.abs_tol, tol.rel_tol * corner_value),
-        s_r + 5.0,
-        s_r + 10.0,
-    )
-    w_cut = m_cut - s_r
-    ladder = _w_edges(w_cut, s_r)
-    x_edges = _ladder(d, x_cut)
-    panels = [corner] + [(x0, x1, 0.0, w_cut) for x0, x1 in zip(x_edges[1:-1], x_edges[2:])]
-    scores = [(corner_value, corner_err)] + [rule(panel, ladder) for panel in panels[1:]]
-
-    def split(panel):
-        x0, x1, w0, w1 = panel
-        if not inner_dominates.pop(panel):
-            mid = 0.5 * (x0 + x1)
-            return [(x0, mid, w0, w1), (mid, x1, w0, w1)]
-        # halve the w-range at a ladder edge when it holds one; the diagonal
-        # reaches that level at xm, where the x-range is cut as well so that
-        # no panel's diagonal clip starts or stops inside it
-        w_top = min(w1, x1 - lower(x1))
-        inside = ladder[(ladder > w0) & (ladder < w_top)]
-        wm = float(inside[len(inside) // 2]) if len(inside) else 0.5 * (w0 + w_top)
-        xm = s_r + 0.5 * math.log1p(math.exp(2.0 * wm))
-        if xm <= x0:
-            return [(x0, x1, w0, wm), (x0, x1, wm, w1)]
-        return [(x0, xm, w0, wm), (xm, x1, w0, wm), (xm, x1, wm, w1)]
-
-    return _refine_panels(
-        lambda batch: np.array([rule(panel, ladder) for panel in batch]).T,
-        split,
-        panels,
-        np.array(scores).T,
-        tol,
-        lambda: evals[0],
-        (tail_w, tail_x),
-        None,
-    )
+        try:
+            one = integrate_2d(f, s_r, decay, tol)
+        except QuadratureError as exc:
+            part = exc.best
+            raise QuadratureError(
+                str(exc),
+                best=QuadResult(
+                    total + weight * part.value,
+                    err + abs(weight) * part.error_estimate,
+                    evals + part.evaluations,
+                ),
+            ) from exc
+        total += weight * one.value
+        err += abs(weight) * one.error_estimate
+        evals += one.evaluations
+    return QuadResult(total, err, evals)
 
 
 def mass_F(
@@ -251,22 +144,29 @@ def mass_F(
     Sums, over the distinct boundary profiles weighted by the transverse
     measure, the integral of the harmonic leaf density against the leaf area
     element ``(e^{-2v} + |lam|^2 e^{-2t}) * 2 du dv`` over the exact ball
-    region.  Nonnegative, and nondecreasing in ``r``.  The default tolerance
-    is relative, ``1e-8``, with an absolute floor of ``1e-16 r^2``.  Radii
-    below about ``1.49e-146`` raise ``ValueError``: that floor and the mass
-    itself leave the normal double range there.
+    region, pulled back onto the corner ``{min(T, V) >= -log r}`` (see the
+    module docstring).  Nonnegative, and nondecreasing in ``r``.  The
+    default tolerance is relative, ``1e-8``, with an absolute floor of
+    ``1e-16 r^2``.  Radii below about ``1.49e-146`` raise ``ValueError``:
+    that floor and the mass itself leave the normal double range there.
     """
     _check_radius(r)
     spec.validate_against(sing)
     if tol is None:
         tol = Tolerance(rel_tol=1e-8, abs_tol=1e-16 * r * r, max_evals=4_000_000)
-    total, err, evals = 0.0, 0.0, 0
-    for profile, weight in spec.effective_profiles():
-        one = _ball_mass(profile, sing, r, tol)
-        total += weight * one.value
-        err += abs(weight) * one.error_estimate
-        evals += one.evaluations
-    return QuadResult(total, err, evals)
+    s_r = -math.log(r)
+    lam_sq = abs(sing.lam) ** 2
+
+    def ball(T, V):
+        # q = e^{-2(X - s_r)}/2 lies in (0, 1/2]; the chart's Jacobian is
+        # (1 - qT - qV) / ((1 - qT)(1 - qV)), and e^{-2v} = e^{-2V}(1 - qT)
+        qT, qV = 0.5 * np.exp(-2.0 * (T - s_r)), 0.5 * np.exp(-2.0 * (V - s_r))
+        t, v = T - 0.5 * np.log1p(-qV), V - 0.5 * np.log1p(-qT)
+        jac_num = -0.5 * (np.expm1(-2.0 * (T - s_r)) + np.expm1(-2.0 * (V - s_r)))
+        area = np.exp(-2.0 * V) / (1.0 - qV) + lam_sq * np.exp(-2.0 * T) / (1.0 - qT)
+        return t, v, jac_num * area
+
+    return _corner_mass(spec, sing, r, tol, ball)
 
 
 def mass_upper_intermediate(
@@ -278,31 +178,18 @@ def mass_upper_intermediate(
     is dominated by ``(1+|lam|)^2 e^{-2 min(v, t)}``, so this quantity always
     dominates :func:`mass_F` at the same radius.  It is also the
     kernel-weighted boundary mass of :func:`bound_G_via_kernel` (Fubini),
-    up to the factor ``2 (1+|lam|)^2 r^2 / pi``.  Like :func:`mass_F`, it
+    up to the factor ``2 (1+|lam|)^2 r^2 / pi``.  The tolerance, including
+    its absolute part, targets the returned value.  Like :func:`mass_F`, it
     raises :class:`QuadratureError` for a profile whose mass diverges, and
     its smallest radius is ``mass_F``'s.
     """
     _check_radius(r)
     spec.validate_against(sing)
-    s_r = -math.log(r)
-    a, b, gamma = sing.a, sing.b, sing.gamma
-    front = (1.0 + abs(sing.lam)) ** 2 * 2.0 / b
     tol = tol or Tolerance(rel_tol=1e-7, abs_tol=1e-12 * r * r, max_evals=4_000_000)
-    total, err, evals = 0.0, 0.0, 0
-    for profile, weight in spec.effective_profiles():
-        decay = DecayDescriptor(exp_rate=1.5, alg_rate=_leaf_decay_rate(profile, gamma))
-
-        def f(t, v):
-            u = (t - a * v) / b
-            U, V = power_polar_uv(u, v, gamma)
-            ext = np.asarray(profile_extension(profile, U, V), dtype=float)
-            return ext * np.exp(-2.0 * np.minimum(t, v))
-
-        res = integrate_2d(f, s_r, decay, tol)
-        total += weight * res.value
-        err += abs(weight) * res.error_estimate
-        evals += res.evaluations
-    return QuadResult(front * total, front * err, evals)
+    speed = (1.0 + abs(sing.lam)) ** 2
+    return _corner_mass(
+        spec, sing, r, tol, lambda T, V: (T, V, speed * np.exp(-2.0 * np.minimum(T, V)))
+    )
 
 
 def _tolerance_for_G(tol: Tolerance | None, r: float) -> Tolerance | None:
@@ -456,7 +343,7 @@ def bound_G_via_kernel(
         upper = mass_upper_intermediate(spec, sing, r, _tolerance_for_G(tol, r)).value
         return lhs, math.pi * upper / (2.0 * (1.0 + abs(sing.lam)) ** 2 * r * r)
     s = -math.log(r)
-    nodes, weights = _gl(y_order)
+    nodes, weights = leggauss(y_order)
     rhs = 0.0
     for profile, weight in spec.effective_profiles():
         edges = _boundary_edges(profile)

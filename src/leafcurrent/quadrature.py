@@ -247,55 +247,6 @@ def _truncate_corner(
     return m_cut, x_cut, exp_tail(m_cut), tail_alg
 
 
-def _require_finite(values: np.ndarray, errors: np.ndarray) -> None:
-    if not (np.isfinite(values).all() and np.isfinite(errors).all()):
-        raise ValueError("the integrand returned a non-finite value on a quadrature panel")
-
-
-def _refine_panels(rule, split, panels, scores, tol: Tolerance, evals, tails, meta) -> QuadResult:
-    """Round-based adaptive panel refinement shared by the panel integrators.
-
-    ``panels`` lists the initial panels and ``scores`` their ``(values,
-    errors)`` arrays; ``rule(panels)`` scores a list of new panels the same
-    way and ``split(panel)`` returns the panels that replace one.  Until the
-    summed panel errors meet ``target = max(abs_tol/2, rel_tol*|value|)``,
-    each round splits the fewest worst panels whose errors sum to at least
-    ``error - target`` (always at least one) and scores all their children
-    in one ``rule`` call.  The closed-form ``tails`` are added to the
-    reported error; ``evals()`` is the running evaluation count, and
-    exceeding ``max_evals`` raises :class:`QuadratureError` carrying the
-    current estimate.  A non-finite panel value or error raises
-    :class:`ValueError` at once: refinement cannot cure a NaN integrand, and
-    it is a fault of the integrand, not a shortfall of the budget.
-    """
-    values, errors = (np.asarray(a, dtype=float) for a in scores)
-    _require_finite(values, errors)
-    while True:
-        value = float(values.sum())
-        err = float(errors.sum())
-        target = max(0.5 * tol.abs_tol, tol.rel_tol * abs(value))
-        converged = err <= target
-        if converged or evals() > tol.max_evals:
-            for tail in tails:
-                err += tail
-            result = QuadResult(value, err, evals(), meta=meta)
-            if converged:
-                return result
-            raise QuadratureError("evaluation budget exhausted", best=result)
-        # worst first; the stable sort splits the older of two equal panels
-        order = np.argsort(-errors, kind="stable")
-        count = int(np.searchsorted(np.cumsum(errors[order]), err - target)) + 1
-        chosen = order[: min(count, len(order))]
-        keep = np.ones(len(panels), dtype=bool)
-        keep[chosen] = False
-        children = [child for i in chosen for child in split(panels[i])]
-        child_values, child_errors = rule(children)
-        _require_finite(child_values, child_errors)
-        panels = [panel for panel, kept in zip(panels, keep.tolist()) if kept] + children
-        values = np.concatenate((values[keep], child_values))
-        errors = np.concatenate((errors[keep], child_errors))
-
-
 def integrate_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     s: float,
@@ -311,6 +262,12 @@ def integrate_2d(
     recorded in ``meta``.  ``f`` must be elementwise over arrays of any
     shape: it is called on whole stacks of panels at once.  A non-finite
     value of ``f`` on a panel raises :class:`ValueError`.
+
+    Until the summed panel errors meet ``max(abs_tol/2, rel_tol*|value|)``,
+    each round halves, across its longer side, each of the fewest worst
+    panels whose errors cover the excess (always at least one) and scores
+    all their children together.  Exceeding ``max_evals`` raises
+    :class:`QuadratureError` carrying the current estimate.
     """
     tol = _as_tol(tol)
     if not s > 0.0:
@@ -337,15 +294,12 @@ def integrate_2d(
             hi = tr * vr * (F[:, _N_LO_POINTS:] @ _WEIGHTS_HI)
             values.append(hi)
             errors.append(np.abs(hi - lo))
-        return np.concatenate(values), np.concatenate(errors)
-
-    def split(rect):
-        t0, t1, v0, v1 = rect
-        if (t1 - t0) >= (v1 - v0):
-            mid = 0.5 * (t0 + t1)
-            return [(t0, mid, v0, v1), (mid, t1, v0, v1)]
-        mid = 0.5 * (v0 + v1)
-        return [(t0, t1, v0, mid), (t0, t1, mid, v1)]
+        values, errors = np.concatenate(values), np.concatenate(errors)
+        # refinement cannot cure a NaN integrand: it is a fault of the
+        # integrand, not a shortfall of the budget
+        if not (np.isfinite(values).all() and np.isfinite(errors).all()):
+            raise ValueError("the integrand returned a non-finite value on a quadrature panel")
+        return values, errors
 
     # --- interior: L-shaped region as two rectangles
     rects = [(s, m_cut, s, x_cut)]
@@ -358,7 +312,35 @@ def integrate_2d(
             for g0, g1 in zip(v_edges[:-1], v_edges[1:]):
                 panels.append((e0, e1, g0, g1))
 
-    return _refine_panels(
-        rule, split, panels, rule(panels), tol, lambda: evals[0], (tail_exp, tail_alg),
-        {"min_cut": m_cut, "max_cut": x_cut},
-    )
+    values, errors = rule(panels)
+    while True:
+        value = float(values.sum())
+        err = float(errors.sum())
+        target = max(0.5 * tol.abs_tol, tol.rel_tol * abs(value))
+        converged = err <= target
+        if converged or evals[0] > tol.max_evals:
+            result = QuadResult(
+                value, err + tail_exp + tail_alg, evals[0], meta={"min_cut": m_cut, "max_cut": x_cut}
+            )
+            if converged:
+                return result
+            raise QuadratureError("evaluation budget exhausted", best=result)
+        # worst first; the stable sort splits the older of two equal panels
+        order = np.argsort(-errors, kind="stable")
+        count = int(np.searchsorted(np.cumsum(errors[order]), err - target)) + 1
+        chosen = order[: min(count, len(order))]
+        keep = np.ones(len(panels), dtype=bool)
+        keep[chosen] = False
+        children = []
+        for i in chosen:
+            t0, t1, v0, v1 = panels[i]
+            if (t1 - t0) >= (v1 - v0):
+                mid = 0.5 * (t0 + t1)
+                children += [(t0, mid, v0, v1), (mid, t1, v0, v1)]
+            else:
+                mid = 0.5 * (v0 + v1)
+                children += [(t0, t1, v0, mid), (t0, t1, mid, v1)]
+        child_values, child_errors = rule(children)
+        panels = [panel for panel, kept in zip(panels, keep.tolist()) if kept] + children
+        values = np.concatenate((values[keep], child_values))
+        errors = np.concatenate((errors[keep], child_errors))

@@ -162,15 +162,16 @@ def test_cauchy_mass_matches_pinned_values(r):
 
 
 # Bitwise pins of the default-tolerance mass at lambda = i: value, error
-# estimate and evaluation count.  A rewrite of the truncation probe or of the
-# integrand's arithmetic that is meant to be exact must not move a bit.
+# estimate and evaluation count.  A rewrite of the truncation probe, of the
+# panel refinement or of the integrand's arithmetic that is meant to be exact
+# must not move a bit.
 BITWISE_MASS_SQUARE = [
-    ("triangle", 0.25, 0.010269217003914428, 6.583670688163914e-12, 207872),
-    ("triangle", 0.000244140625, 2.1477588826972155e-09, 6.658860607060562e-19, 275744),
-    ("cauchy", 0.25, 0.030994725289035296, 2.115481532551026e-11, 207872),
-    ("cauchy", 0.000244140625, 6.7331010590086e-09, 2.085101508324875e-18, 275744),
-    ("algebraic", 0.25, 0.03339063553442172, 2.610524499518505e-11, 207872),
-    ("algebraic", 0.000244140625, 8.211381559489722e-09, 2.5925536138123763e-18, 275744),
+    ("triangle", 0.25, 0.01026921700445361, 3.505645397118713e-11, 104736),
+    ("triangle", 0.000244140625, 2.147758882755213e-09, 4.343323830555966e-18, 107936),
+    ("cauchy", 0.25, 0.030994725290729424, 1.1640077920755358e-10, 108272),
+    ("cauchy", 0.000244140625, 6.733101059190947e-09, 1.3571992800538098e-17, 111472),
+    ("algebraic", 0.25, 0.033390635537027695, 1.312740780378163e-10, 108272),
+    ("algebraic", 0.000244140625, 8.21138155973223e-09, 1.5960551019425116e-17, 111472),
 ]
 
 
@@ -194,14 +195,55 @@ def test_mass_error_estimate_covers_tight_tolerance_error(label, current, r):
     assert res.error_estimate >= abs(res.value - tight.value)
 
 
+# mass_F at Tolerance(1e-12, 1e-22 r^2, 20_000_000) on the (x, m) panel
+# engine that preceded the corner pullback, an independent route: its error
+# bars read at most 1.02e-12 of F.  The default mass_F on the pullback
+# agrees with every value to 6e-14; that engine's own default was 1.5e-11 to
+# 1.8e-10 off.
+TIGHT_MASS = {
+    ("square", "cauchy", 0.5): 0.18207786298588352,
+    ("square", "cauchy", 2.0**-12): 6.733101059190937e-09,
+    ("square", "triangle", 0.5): 0.06316578975096966,
+    ("square", "triangle", 2.0**-12): 2.14775888275524e-09,
+    ("square", "algebraic", 0.5): 0.18492123797265625,
+    ("square", "algebraic", 2.0**-12): 8.211381559732222e-09,
+    ("shallow", "cauchy", 0.5): 0.5500499246832435,
+    ("shallow", "cauchy", 2.0**-12): 7.445173771142832e-08,
+    ("shallow", "triangle", 0.5): 0.18902295020882467,
+    ("shallow", "triangle", 2.0**-12): 2.3852146058000245e-08,
+    ("shallow", "algebraic", 0.5): 0.5878517375458746,
+    ("shallow", "algebraic", 2.0**-12): 8.87219819235448e-08,
+    ("steep", "cauchy", 0.5): 0.01015972011804272,
+    ("steep", "cauchy", 2.0**-12): 5.575858064342575e-12,
+    ("steep", "triangle", 0.5): 0.003265513335736703,
+    ("steep", "triangle", 2.0**-12): 1.7748552123014387e-12,
+    ("steep", "algebraic", 0.5): 0.011775818519275602,
+    ("steep", "algebraic", 2.0**-12): 7.087830315497797e-12,
+}
+
+
+@pytest.mark.parametrize("label, current, r", sorted(TIGHT_MASS))
+def test_default_mass_matches_the_tight_earlier_engine(label, current, r):
+    sing = RATIOS[label]
+    got = mass_F(builtin_currents(sing)[current], sing, r).value
+    assert got == pytest.approx(TIGHT_MASS[label, current, r], rel=1e-12, abs=0.0)
+
+
 def test_mass_budget_exhaustion_raises_with_best_estimate():
+    # the best estimate describes the returned quantity: weighted by the
+    # transverse measure, and for the upper bound scaled by its front factor
+    atom = complex(math.exp(-math.pi * RATIO_SQUARE.b))
+    triple = CurrentSpec(atoms=(atom,), profiles=(cauchy_profile(),), weights=(3.0,))
     cur = default_current(RATIO_SQUARE, cauchy_profile())
-    with pytest.raises(QuadratureError) as info:
-        mass_F(cur, RATIO_SQUARE, 0.5, tol=Tolerance(rel_tol=1e-12, abs_tol=1e-20, max_evals=100))
-    best = info.value.best
-    assert best is not None
-    assert best.evaluations > 100
-    assert best.value == pytest.approx(mass_F(cur, RATIO_SQUARE, 0.5).value, rel=1e-3)
+    starved = Tolerance(rel_tol=1e-12, abs_tol=1e-20, max_evals=100)
+    for fn in (mass_F, mass_upper_intermediate):
+        for spec in (cur, triple):
+            with pytest.raises(QuadratureError) as info:
+                fn(spec, RATIO_SQUARE, 0.5, tol=starved)
+            best = info.value.best
+            assert best is not None
+            assert best.evaluations > 100
+            assert best.value == pytest.approx(fn(spec, RATIO_SQUARE, 0.5).value, rel=1e-3)
 
 
 def test_mass_of_too_slowly_decaying_profile_is_reported_divergent():
@@ -245,6 +287,17 @@ def test_intermediate_bound_of_too_slowly_decaying_profile_is_reported_divergent
     cur = default_current(RATIO_SQUARE, algebraic_profile(exponent=0.3))
     with pytest.raises(QuadratureError, match="diverges"):
         mass_upper_intermediate(cur, RATIO_SQUARE, 0.5)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-5, 1e-6, 1e-7])
+def test_intermediate_bound_absolute_tolerance_targets_the_returned_value(abs_tol):
+    # with the relative target out of reach, the absolute one decides; it
+    # applies to the bound itself, front factor (1+|lam|)^2 2/b = 8 included
+    cur = default_current(RATIO_SQUARE, cauchy_profile())
+    res = mass_upper_intermediate(
+        cur, RATIO_SQUARE, 0.25, Tolerance(rel_tol=1e-15, abs_tol=abs_tol, max_evals=4_000_000)
+    )
+    assert res.error_estimate <= abs_tol
 
 
 def test_intermediate_bound_is_the_kernel_weighted_boundary_mass():
