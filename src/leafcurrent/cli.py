@@ -20,7 +20,8 @@ environment variable, then ``./leafcurrent-reports``.
 One tolerance rule holds for every quadrature stage: a ``tolerances``
 section or ``--tol`` that changes the default document's values reaches
 ``kernel-bound`` and ``profile`` alike; otherwise each stage uses its own
-relative default (``kernel_K``: 1e-6 of ``K``; ``mass_F``: 1e-8 of ``F``).
+default (``kernel_K``: its rounding floor, below 1e-13 of ``K`` on the
+default grids; ``mass_F``: 1e-8 of ``F``).
 
 Exit codes: 0 on success; 1 when a quadrature stage failed to converge
 (partial reports are still written, with the failure flagged in the

@@ -7,8 +7,12 @@ half-plane power, the kernel is
                V / (V^2 + (y - U)^2) dt dv``
 
 with ``U + iV = ((t - a v)/b + i v)^gamma``; the factor ``1/b`` is the
-Jacobian of ``(u, v) -> (t, v)``, ``t = b u + a v``.  The certified decay
-envelope is
+Jacobian of ``(u, v) -> (t, v)``, ``t = b u + a v``.  The Poisson factor is
+``-Im 1/(zeta^gamma - y)``, holomorphic in ``zeta``, so integrating the
+non-``min`` variable first on each side of the diagonal ``t = v`` leaves one
+1D integral of a closed-form hypergeometric function; :func:`kernel_K`
+evaluates that, and :func:`kernel_uv_form` the 2D integral itself as a
+cross-check.  The certified decay envelope is
 
     ``(1 + |y|)^{1/gamma - 1} min(1, ((1 + |y|)^{1/gamma} / s)^{gamma - 1})``
 
@@ -23,14 +27,16 @@ boundaries) configurations by how ``max(v, t)`` compares with the scale
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.polynomial.legendre import leggauss
+from scipy.special import hyp2f1
 
-from .geometry import Singularity, power_polar, power_polar_uv
-from .quadrature import DecayDescriptor, QuadratureError, QuadResult, Tolerance, integrate_1d, integrate_2d
+from .geometry import Singularity, power_polar
+from .quadrature import QuadratureError, QuadResult, Tolerance, integrate_1d
 
 __all__ = [
     "RegimeThresholds",
@@ -133,52 +139,117 @@ def poisson_density(sing: Singularity, v, t, y):
     return V / (V * V + _libm_pow(np.asarray(y, dtype=float) - U, 2.0))
 
 
-_KERNEL_MAX_EVALS = 6_000_000
-_KERNEL_REL_TOL = 1e-6
-# Absolute floor of the default pass, per unit of the decay envelope.  The
-# smallest K/envelope measured is 0.0104 (ratio -1+i, s = 1, y = 0; default
-# grid, s up to 4096 and |y| up to 1e6), far above the 0.005 at which the floor
-# stops being negligible, so the second pass is a guard, not a routine.
-_KERNEL_ENV_FLOOR = 1e-8
+# kernel_K integrates in x = m - s on fixed Gauss-Legendre panels over [0, 40],
+# narrow where the weight e^{-2x} is large; each panel carries a 16- and a
+# 24-node rule on one node set.  Past x = 40 the weight is below e^-80.
+_DIAG_EDGES = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0, 14.0, 22.0, 40.0])
+_DIAG_SPAN = float(_DIAG_EDGES[-1])
+_N16, _W16 = leggauss(16)
+_N24, _W24 = leggauss(24)
+_DIAG_NODES = np.concatenate((_N16, _N24))
+_EPS = float(np.finfo(float).eps)
+_KERNEL_MAX_EVALS = 200_000
 
 
 def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None) -> QuadResult:
-    """Certified value of the singular kernel ``K_s(y)``.
+    """Certified value of the singular kernel ``K_s(y)``, as one 1D integral.
 
-    Integrates in ``(t, v)`` coordinates over ``min(t, v) >= s`` with the
-    adaptive panel engine.  When no tolerance is given, the target is one
-    part in 1e6 of ``K`` itself: a single pass runs at relative tolerance
-    1e-6 with an absolute floor of ``1e-8 * bound_envelope(s, y)``, and its
-    result stands when half that floor (the truncation tails' share) is at
-    most ``1e-6 |K|``, i.e. wherever the envelope exceeds ``K`` by at most
-    200x (the smallest ``K/envelope`` measured is 0.0104).  Otherwise a
-    second pass runs at absolute tolerance ``1e-6 |K|``; ``evaluations``
-    then counts both passes, while the value, error and ``meta`` are the
-    second pass's.  ``s`` and ``y`` must be finite.
+    Splitting the corner at the diagonal ``t = v`` and integrating the
+    non-``min`` variable first, along a straight line in ``zeta``, gives
+
+        ``K_s(y) = (1/b) int_s^inf e^{2s-2m} [b Im Phi(z_m) + Im(Phi(z_m)/c)] dm``
+
+    with ``z_m = m ((1-a)/b + i)``, ``c = -a/b + i`` and
+    ``Phi(z) = -int_z^inf dw/(w^gamma - y)
+    = -z^{1-gamma}/(gamma-1) 2F1(1, 1-1/gamma; 2-1/gamma; y z^-gamma)``.
+    ``z_m^gamma`` stays in the open upper half plane, so the hypergeometric
+    argument never meets the cut ``[1, inf)``.
+
+    The integral runs in ``x = m - s`` on fixed Gauss-Legendre panels over
+    ``[0, 40]``.  A panel is bisected while its 16- and 24-node values
+    disagree by more than both its share (by width) of the target and its own
+    rounding floor; the target is ``max(rel_tol |K|, abs_tol)``, or the whole
+    rounding floor when no tolerance is given.  ``error_estimate`` is the sum of
+    the rule differences, the rounding floor and the tail past ``x = 40``.
+
+    The floor is the integral of ``e^{2s-2m} (b |Phi| + |Phi/c|) / b``, the
+    magnitudes before their imaginary parts cancel, times ``eps (64 + 4 gamma
+    (|log |z_m|| + pi))``: ``hyp2f1``'s own error plus the rounding of
+    ``gamma``, which ``|z_m|^{1-gamma}`` amplifies.  The tail bound is a
+    proof, not a probe: along the radial ray ``|w^gamma - y| >= |w|^gamma
+    sin(gamma theta)``, ``theta = arg z_m``, so ``|Phi(z_m)| <=
+    |z_m|^{1-gamma} / ((gamma-1) sin(gamma theta))`` for every real ``y``.
+
+    An explicit ``tol`` raises :class:`QuadratureError` (with ``best``) when
+    the error estimate exceeds its target or the evaluations exceed
+    ``max_evals``; without one, only a budget of 200,000 evaluations can
+    fail.  ``s`` and ``y`` must be finite.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError("s must be positive and finite")
     if not math.isfinite(y):
         raise ValueError("y must be finite")
     a, b, gamma = sing.a, sing.b, sing.gamma
+    theta = math.atan2(1.0, (1.0 - a) / b)
+    radius = abs(complex((1.0 - a) / b, 1.0))
+    c = complex(-a / b, 1.0)
+    beta = 1.0 - 1.0 / gamma
+    # the integrand is e^{-2x} |z_m|^{1-gamma} Im(front 2F1), and
+    # e^{-2x} |z_m|^{1-gamma} |2F1| scale is its magnitude before Im
+    front = -cmath.exp(1j * (1.0 - gamma) * theta) * (1.0 + 1.0 / (b * c)) / (gamma - 1.0)
+    scale = (1.0 + 1.0 / (b * abs(c))) / (gamma - 1.0)
+    turn = y * cmath.exp(-1j * gamma * theta)
+    evals = 0
 
-    def integrand(t, v):
-        U, V = power_polar_uv((t - a * v) / b, v, gamma)
-        m = np.minimum(t, v)
-        return np.exp(2.0 * s - 2.0 * m) * V / (V * V + (y - U) ** 2) / b
+    def rule(lo, hi):
+        """24-node values, |24-node - 16-node| and rounding floors of the panels."""
+        nonlocal evals
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (hi + lo))[:, None] + half[:, None] * _DIAG_NODES
+        evals += x.size
+        r = (s + x) * radius
+        hyper = hyp2f1(1.0, beta, 1.0 + beta, turn * r**-gamma)
+        weight = np.exp(-2.0 * x) * r ** (1.0 - gamma)
+        f = weight * (front * hyper).imag
+        # rounding floor in eps per unit of magnitude: scipy's hyp2f1 stays
+        # within 46 eps of mpmath on the rays y z_m^-gamma sweeps, and the
+        # double gamma's rounding (2 eps gamma, counted twice) is amplified
+        # by |log |z_m|| + pi through |z_m|^{1-gamma} and the phases
+        digits = 64.0 + 4.0 * gamma * (np.abs(np.log(r[:, 16:])) + math.pi)
+        size = weight[:, 16:] * np.abs(hyper[:, 16:]) * (scale * _EPS) * digits
+        if not (np.isfinite(f).all() and np.isfinite(size).all()):
+            raise ValueError("the kernel integrand is not finite on a quadrature panel")
+        coarse, fine = half * (f[:, :16] @ _W16), half * (f[:, 16:] @ _W24)
+        return fine, np.abs(fine - coarse), half * (size @ _W24)
 
-    decay = DecayDescriptor(exp_rate=1.5, alg_rate=gamma + 1.0)
-    if tol is not None:
-        return integrate_2d(integrand, s, decay, tol)
-    floor = max(_KERNEL_ENV_FLOOR * bound_envelope(sing, s, y), 1e-300)
-    first = integrate_2d(integrand, s, decay, Tolerance(_KERNEL_REL_TOL, floor, _KERNEL_MAX_EVALS))
-    if 0.5 * floor <= _KERNEL_REL_TOL * abs(first.value):
-        return first
-    final = integrate_2d(
-        integrand, s, decay,
-        Tolerance(_KERNEL_REL_TOL, max(_KERNEL_REL_TOL * abs(first.value), 1e-300), _KERNEL_MAX_EVALS),
-    )
-    return replace(final, evaluations=first.evaluations + final.evaluations)
+    budget = _KERNEL_MAX_EVALS if tol is None else tol.max_evals
+    lo, hi = _DIAG_EDGES[:-1], _DIAG_EDGES[1:]
+    panels = rule(lo, hi)
+    while True:
+        values, diffs, floors = panels
+        value = float(values.sum())
+        floor = float(floors.sum())
+        target = floor if tol is None else max(tol.rel_tol * abs(value), tol.abs_tol)
+        split = diffs > np.maximum(target * (hi - lo) / _DIAG_SPAN, floors)
+        if not split.any() or evals > budget:
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo, child_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        children = rule(child_lo, child_hi)
+        # keep the panels in order of position, so the sums run left to right
+        order = np.argsort(np.concatenate((lo[~split], child_lo)), kind="stable")
+        lo = np.concatenate((lo[~split], child_lo))[order]
+        hi = np.concatenate((hi[~split], child_hi))[order]
+        panels = [np.concatenate((old[~split], new))[order] for old, new in zip(panels, children)]
+    far = radius * (s + _DIAG_SPAN)
+    tail = 0.5 * math.exp(-2.0 * _DIAG_SPAN) * scale * far ** (1.0 - gamma) / math.sin(gamma * theta)
+    error = float(diffs.sum()) + floor + tail
+    result = QuadResult(value, error, evals)
+    if evals > budget:
+        raise QuadratureError("evaluation budget exhausted", best=result)
+    if tol is not None and error > target:
+        raise QuadratureError(f"error estimate {error:.3e} exceeds the target {target:.3e}", best=result)
+    return result
 
 
 def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None = None) -> float:
@@ -188,6 +259,8 @@ def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None 
     Jacobian.  Used as a cross-check of :func:`kernel_K`; slower but entirely
     disjoint in code path (different library integrator, different variables).
     """
+    from scipy.optimize import brentq  # its only user; kept out of the library's import
+
     if not s > 0.0:
         raise ValueError("s must be positive")
     a, b, gamma = sing.a, sing.b, sing.gamma

@@ -4,12 +4,15 @@ Two entry points:
 
 * :func:`integrate_1d` -- adaptive 1D integration on finite, half-infinite, or
   full-line intervals, with caller-supplied break points (peaks, kinks).
+  It imports ``scipy.integrate`` on its first call, so importing the library
+  does not.
 * :func:`integrate_2d` -- integration over the corner domain
   ``{(t, v) : min(t, v) >= s}`` for integrands that decay exponentially in
   ``min(t, v)`` and algebraically in ``max(t, v)``.  The domain is truncated so
   a closed-form tail bound sits below the absolute tolerance, the interior is
   handled by adaptive tensor Gauss-Legendre panels, and the tail bound is added
-  to the reported error estimate.
+  to the reported error estimate.  It serves the mass layer only; the kernel
+  ``K_s(y)`` reduces to a 1D integral (:func:`~leafcurrent.kernels.kernel_K`).
 
 The 2D panels are refined in rounds: each round splits the fewest worst
 panels whose errors cover the excess over the tolerance and scores all their
@@ -29,7 +32,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate as _sci
 
 __all__ = [
     "Tolerance",
@@ -94,6 +96,8 @@ def integrate_1d(
     interval is split before integrating; infinite intervals are handled by
     QUADPACK's monotone change of variables onto a finite interval.
     """
+    from scipy import integrate as _sci  # its only user; kept out of the library's import
+
     tol = _as_tol(tol)
     if not (b > a):
         raise ValueError("need b > a")

@@ -537,6 +537,21 @@ def test_module_entry_point_runs_the_cli(tmp_path) -> None:
     assert [t["name"] for t in doc["tables"]] == ["oracle"]
 
 
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
+    # integrate_1d and kernel_uv_form import them on first call: loading the
+    # CLI costs about 25 MB and 0.5 s less without them
+    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, leafcurrent.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch, capsys) -> None:
     monkeypatch.setenv("LEAFCURRENT_OUT", str(tmp_path / "from-env"))
     assert run_command(["oracle", "--s0", "1"]) == 0

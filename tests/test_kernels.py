@@ -13,14 +13,20 @@ Oracles used here, in order of authority:
   ratio at any ``y``.  Entirely independent of the adaptive panel code path.
 * The strip-crossing equation at ``gamma = 2`` is quadratic, so the crossing
   has the closed form ``sqrt(y + v^2)``, exact in double precision.
+* 30-digit ``mpmath`` values of the diagonal integral that ``kernel_K``
+  evaluates (:func:`_mpmath_kernel`: ``mpmath.quad`` with ``mpmath.hyp2f1``,
+  break points where the hypergeometric argument passes the unit circle).
+  The tables below were frozen from it; a test recomputes the pins and
+  checks it against the closed form ``e^{2s} E_1(2s)``.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from leafcurrent import kernels
+from leafcurrent import kernels, quadrature
 from leafcurrent.geometry import normalize_singularity, power_polar
 from leafcurrent.kernels import (
     REGIMES,
@@ -107,56 +113,180 @@ def test_kernel_matches_dense_riemann_sum():
     assert got.value == pytest.approx(0.283092839704, rel=1e-5)
 
 
-# Regression pins at the configuration's tolerance, from the heap-based panel
-# refinement that preceded round-based refinement: value and evaluation count.
+def _mpmath_kernel(sing, s: float, y: float, dps: int = 30):
+    """``K_s(y)`` at ``dps`` digits from the same 1D integral as ``kernel_K``:
+    ``(1/b) int_s^inf e^{2s-2m} [b Im Phi(z_m) + Im(Phi(z_m)/c)] dm`` with
+    ``Phi(z) = -z^{1-gamma}/(gamma-1) 2F1(1, 1-1/gamma; 2-1/gamma; y z^-gamma)``,
+    ``z_m = m ((1-a)/b + i)`` and ``c = -a/b + i``; ``gamma`` is recomputed at
+    ``dps`` digits from the exact doubles ``a`` and ``b``.  The integrand is
+    scaled by ``|z_s|^{gamma-1}``: ``mpmath.quad`` stops on an absolute
+    error, which would leave a tiny ``K`` (1e-32 at ``gamma = 9``) only
+    8 digits."""
+    with mpmath.workdps(dps):
+        a, b, s, y = (mpmath.mpf(v) for v in (sing.a, sing.b, s, y))
+        gamma = mpmath.pi / mpmath.atan2(b, -a)
+        theta = mpmath.atan2(1, (1 - a) / b)
+        radius = abs(mpmath.mpc((1 - a) / b, 1))
+        c = mpmath.mpc(-a / b, 1)
+
+        def f(x):
+            r = (s + x) * radius
+            turn = y * r**-gamma * mpmath.expj(-gamma * theta)
+            phi = -((1 + x / s) ** (1 - gamma)) * mpmath.expj((1 - gamma) * theta) / (gamma - 1)
+            phi *= mpmath.hyp2f1(1, 1 - 1 / gamma, 2 - 1 / gamma, turn)
+            return mpmath.exp(-2 * x) * (b * phi.imag + (phi / c).imag) / b
+
+        points = [mpmath.mpf(p) for p in (0, 0.5, 2, 8, 24, 60)]
+        # the integrand peaks where |y z_m^-gamma| passes 1: break around it
+        peak = abs(y) ** (1 / gamma) / radius - s
+        if y != 0 and 0 < peak < 60:
+            width = max(mpmath.mpf("0.02") * (s + peak), mpmath.mpf("1e-3"))
+            points += [p for p in (peak + k * width for k in (-8, -2, -0.5, 0, 0.5, 2, 8)) if 0 < p < 60]
+        return mpmath.quad(f, sorted(set(points)) + [mpmath.inf]) * (s * radius) ** (1 - gamma)
+
+
 CONFIG_TOL = Tolerance(rel_tol=1e-8, abs_tol=1e-10, max_evals=2_000_000)
+# _mpmath_kernel at 20 digits on four cells of the configuration's tolerance
 PINNED_KERNEL = [
-    (RATIO_SQUARE, 1.0, 0.0, 0.36132861651663034, 581712),
-    (RATIO_SQUARE, 8.0, 10.0, 0.058949520492463006, 337872),
-    (RATIO_SHALLOW, 64.0, -1000.0, 0.16315855091063736, 153408),
-    (RATIO_STEEP, 8.0, 10.0, 3.867243666390427e-05, 54192),
+    (RATIO_SQUARE, 1.0, 0.0, "0.3613286168882225847"),
+    (RATIO_SQUARE, 8.0, 10.0, "0.05894952055684589432"),
+    (RATIO_SHALLOW, 64.0, -1000.0, "0.16315855105589951603"),
+    (RATIO_STEEP, 8.0, 10.0, "0.000038672442928841218339"),
 ]
 
 
-@pytest.mark.parametrize("sing, s, y, value, evaluations", PINNED_KERNEL)
-def test_kernel_matches_pinned_values(sing, s, y, value, evaluations):
+@pytest.mark.parametrize("sing, s, y, reference", PINNED_KERNEL)
+def test_kernel_matches_pinned_values(sing, s, y, reference):
     got = kernel_K(sing, s, y, CONFIG_TOL)
-    assert got.value == pytest.approx(value, rel=1e-12)
-    assert got.evaluations <= evaluations
+    assert got.value == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+
+
+def test_mpmath_oracle_reproduces_the_closed_form_and_the_pins():
+    # at ratio i on the centre line the integral is e^{2s} E_1(2s)
+    with mpmath.workdps(30):
+        exact = mpmath.exp(4) * mpmath.e1(4)
+        assert abs(_mpmath_kernel(RATIO_SQUARE, 2.0, 0.0) / exact - 1) < 1e-25
+        for sing, s, y, reference in PINNED_KERNEL:
+            assert abs(_mpmath_kernel(sing, s, y) / mpmath.mpf(reference) - 1) < 1e-19
+
+
+RATIOS = {
+    "i": RATIO_SQUARE,
+    "1+i": RATIO_SHALLOW,
+    "-1+i": RATIO_STEEP,
+    "5+0.2i": normalize_singularity(1, 5 + 0.2j),  # gamma = 1.013, the argument hugs the cut
+    "0.1+0.1i": normalize_singularity(1, 0.1 + 0.1j),  # gamma = 4/3
+    "0.3+2i": normalize_singularity(1, 0.3 + 2j),  # gamma = 1.827
+}
+
+# _mpmath_kernel where the hypergeometric argument y z_m^-gamma starts on the
+# unit circle: s = |y|^{1/gamma} / |(1-a)/b + i|
+MPMATH_UNIT_CIRCLE = [
+    ("i", 70.71067811865474, 10000.0, "0.0061054296764790184591"),
+    ("i", 70.71067811865474, -10000.0, "0.0061054296764790184591"),
+    ("1+i", 1000.0, 10000.0, "0.093887457366686639459"),
+    ("1+i", 1000.0, -10000.0, "0.095412027518779973979"),
+    ("-1+i", 4.47213595499958, 10000.0, "0.00016193179912783199672"),
+    ("-1+i", 4.47213595499958, -10000.0, "0.00019453449922648769163"),
+    ("5+0.2i", 444.14560433613514, 10000.0, "1.3651552144190738711"),
+    ("5+0.2i", 444.14560433613514, -10000.0, "0.94461535652093302888"),
+    ("0.1+0.1i", 110.43152607484653, 10000.0, "0.80755456473180759455"),
+    ("0.1+0.1i", 110.43152607484653, -10000.0, "0.6388298925293005804"),
+    ("0.3+2i", 146.04254558068493, 10000.0, "0.0080856636911262350351"),
+    ("0.3+2i", 146.04254558068493, -10000.0, "0.0096595315969868615674"),
+]
+
+# _mpmath_kernel at s = 8 with |y| = 1e6, and at y = -1e4 with s at 0.5 and
+# 0.9 of its unit-circle depth, where the argument starts outside the circle
+MPMATH_WIDE = [
+    ("i", 8.0, 1000000.0, "0.00078539774956411897494"),
+    ("i", 8.0, -1000000.0, "0.00078539774956411897494"),
+    ("i", 35.35533905932737, -10000.0, "0.0075548862378830638773"),
+    ("i", 63.639610306789265, -10000.0, "0.0064569292746092334733"),
+    ("1+i", 8.0, 1000000.0, "0.037252580990921567426"),
+    ("1+i", 8.0, -1000000.0, "0.026345180235588426701"),
+    ("1+i", 500.0, -10000.0, "0.094187263469052732561"),
+    ("1+i", 900.0, -10000.0, "0.096144168832220784391"),
+    ("-1+i", 8.0, 1000000.0, "9.9454134494485539976e-6"),
+    ("-1+i", 8.0, -1000000.0, "0.000010515721148579558592"),
+    ("-1+i", 2.23606797749979, -10000.0, "0.00032707694155582494271"),
+    ("-1+i", 4.024922359499622, -10000.0, "0.00023745505226897918374"),
+    ("5+0.2i", 8.0, 1000000.0, "1.300776606085462698"),
+    ("5+0.2i", 8.0, -1000000.0, "0.2599523423964527296"),
+    ("5+0.2i", 222.07280216806757, -10000.0, "0.29145397434402997381"),
+    ("5+0.2i", 399.7310439025216, -10000.0, "0.34814015059006088843"),
+    ("0.1+0.1i", 8.0, 1000000.0, "0.03746298779841870052"),
+    ("0.1+0.1i", 8.0, -1000000.0, "0.26322233420156823512"),
+    ("0.1+0.1i", 55.215763037423265, -10000.0, "0.71669193455222937513"),
+    ("0.1+0.1i", 99.38837346736187, -10000.0, "0.65215205883454218165"),
+    ("0.3+2i", 8.0, 1000000.0, "0.0016517132164942913338"),
+    ("0.3+2i", 8.0, -1000000.0, "0.00082151817390304267003"),
+    ("0.3+2i", 73.02127279034246, -10000.0, "0.0092235433263073921178"),
+    ("0.3+2i", 131.43829102261645, -10000.0, "0.0099351699697941077147"),
+]
+
+
+@pytest.mark.parametrize("ratio, s, y, reference", MPMATH_UNIT_CIRCLE)
+def test_kernel_matches_mpmath_where_the_argument_meets_the_unit_circle(ratio, s, y, reference):
+    got = kernel_K(RATIOS[ratio], s, y)
+    gap = abs(got.value - float(reference))
+    assert gap <= 1e-13 * float(reference)
+    assert gap <= got.error_estimate
+
+
+@pytest.mark.parametrize("ratio, s, y, reference", MPMATH_WIDE)
+def test_kernel_error_bar_covers_the_mpmath_error(ratio, s, y, reference):
+    # among them lambda = 1+i, s = 8, y = -1e6, where the bar of the 2D
+    # default this route replaced was 1.9x too small
+    got = kernel_K(RATIOS[ratio], s, y)
+    assert abs(got.value - float(reference)) <= got.error_estimate
+
+
+@pytest.mark.parametrize("sing", [RATIO_SQUARE, RATIO_SHALLOW, RATIO_STEEP])
+def test_kernel_approaches_its_asymptotic_constant(sing):
+    # s^{gamma-1} K_s(y) -> C_K = (b Im kappa + Im(kappa/c)) / (2b) with
+    # kappa = -((1-a)/b + i)^{1-gamma} / (gamma-1), at the rate 1/s
+    a, b, gamma = sing.a, sing.b, sing.gamma
+    kappa = -complex((1.0 - a) / b, 1.0) ** (1.0 - gamma) / (gamma - 1.0)
+    c_k = (b * kappa.imag + (kappa / complex(-a / b, 1.0)).imag) / (2.0 * b)
+    for s in (2.0**10, 2.0**20):
+        for y in (0.0, 10.0, -10.0):
+            scaled = s ** (gamma - 1.0) * kernel_K(sing, s, y).value
+            assert s * abs(scaled / c_k - 1.0) <= 2.0
 
 
 # Bitwise pins of the explicit-tolerance path on the kernel-sweep cells (3
 # ratios x s in {1, 8, 64} x y in {0, 10, -1000}): value, error estimate and
-# evaluation count.  A rewrite of the truncation probe or of the integrand's
+# evaluation count.  A rewrite of the panel rule or of the integrand's
 # arithmetic that is meant to be exact must not move a bit.
 BITWISE_KERNEL = [
-    (RATIO_SQUARE, 1.0, 0.0, 0.36132861651663073, 3.6173778043111635e-09, 581712),
-    (RATIO_SQUARE, 1.0, 10.0, 0.22511528329517966, 2.25250369323415e-09, 403792),
-    (RATIO_SQUARE, 1.0, -1000.0, 0.024833304306186632, 2.444869009455715e-10, 95312),
-    (RATIO_SQUARE, 8.0, 0.0, 0.05900810354394558, 6.146030496989221e-10, 337872),
-    (RATIO_SQUARE, 8.0, 10.0, 0.05894952049246304, 6.123959200537147e-10, 337872),
-    (RATIO_SQUARE, 8.0, -1000.0, 0.02442657334683567, 2.6434212385138873e-10, 143952),
-    (RATIO_SQUARE, 64.0, 0.0, 0.007752396827652411, 9.188791514948761e-11, 182352),
-    (RATIO_SQUARE, 64.0, 10.0, 0.007752394586253527, 9.188781248488503e-11, 182352),
-    (RATIO_SQUARE, 64.0, -1000.0, 0.007730161204405299, 9.085302520638405e-11, 182352),
-    (RATIO_SHALLOW, 1.0, 0.0, 0.9121958922479628, 9.106412201074529e-09, 626336),
-    (RATIO_SHALLOW, 1.0, 10.0, 0.6244003718236584, 6.1637314045642836e-09, 248096),
-    (RATIO_SHALLOW, 1.0, -1000.0, 0.14851276554624412, 1.263388807439511e-09, 125856),
-    (RATIO_SHALLOW, 8.0, 0.0, 0.5023685672126997, 5.021592171806225e-09, 363968),
-    (RATIO_SHALLOW, 8.0, 10.0, 0.47909817007966626, 4.790887048646932e-09, 306368),
-    (RATIO_SHALLOW, 8.0, -1000.0, 0.1502568269710481, 1.3339244076234047e-09, 131648),
-    (RATIO_SHALLOW, 64.0, 0.0, 0.25546958283991267, 2.552985995000973e-09, 213568),
-    (RATIO_SHALLOW, 64.0, 10.0, 0.2549103126993741, 2.5744347794145567e-09, 211008),
-    (RATIO_SHALLOW, 64.0, -1000.0, 0.16315855091063747, 1.6524658384808982e-09, 153408),
-    (RATIO_STEEP, 1.0, 0.0, 0.01039067089735136, 1.2146234529237106e-10, 502192),
-    (RATIO_STEEP, 1.0, 10.0, 0.009890491436518519, 1.164770369871972e-10, 495792),
-    (RATIO_STEEP, 1.0, -1000.0, 0.0017810877300607664, 6.677220214186336e-11, 203312),
-    (RATIO_STEEP, 8.0, 0.0, 3.8672997200162836e-05, 6.924934294685225e-11, 54192),
-    (RATIO_STEEP, 8.0, 10.0, 3.867243666390426e-05, 6.92476829017299e-11, 54192),
-    (RATIO_STEEP, 8.0, -1000.0, 3.872849538721417e-05, 6.941388813420568e-11, 54192),
-    (RATIO_STEEP, 64.0, 0.0, 8.698390662472807e-08, 1.346240932056561e-11, 32736),
-    (RATIO_STEEP, 64.0, 10.0, 8.698390626489207e-08, 1.346240927210692e-11, 32736),
-    (RATIO_STEEP, 64.0, -1000.0, 8.698394260823084e-08, 1.346241416719646e-11, 32736),
+    (RATIO_SQUARE, 1.0, 0.0, 0.3613286168882226, 1.0727151806202605e-14, 480),
+    (RATIO_SQUARE, 1.0, 10.0, 0.2251152835243368, 7.459174417002124e-15, 480),
+    (RATIO_SQUARE, 1.0, -1000.0, 0.02483330432954995, 1.0148608756977224e-15, 480),
+    (RATIO_SQUARE, 8.0, 0.0, 0.05900810360855643, 2.02523170800015e-15, 480),
+    (RATIO_SQUARE, 8.0, 10.0, 0.05894952055684588, 2.025513982441877e-15, 480),
+    (RATIO_SQUARE, 8.0, -1000.0, 0.02442657337843843, 1.0092573041441441e-15, 480),
+    (RATIO_SQUARE, 64.0, 0.0, 0.0077523968387448235, 3.0532313978887477e-16, 480),
+    (RATIO_SQUARE, 64.0, 10.0, 0.007752394597345927, 3.0540777281786817e-16, 480),
+    (RATIO_SQUARE, 64.0, -1000.0, 0.007730161215386005, 3.0509813486288025e-16, 480),
+    (RATIO_SHALLOW, 1.0, 0.0, 0.9121958931850012, 4.189561094390573e-14, 480),
+    (RATIO_SHALLOW, 1.0, 10.0, 0.624400372421522, 2.7743805774796516e-14, 480),
+    (RATIO_SHALLOW, 1.0, -1000.0, 0.1485127656659962, 9.298383951392797e-15, 480),
+    (RATIO_SHALLOW, 8.0, 0.0, 0.5023685677193156, 2.573278450950657e-14, 480),
+    (RATIO_SHALLOW, 8.0, 10.0, 0.47909817056511117, 2.414731404629612e-14, 480),
+    (RATIO_SHALLOW, 8.0, -1000.0, 0.15025682705737153, 1.0362072503148799e-14, 480),
+    (RATIO_SHALLOW, 64.0, 0.0, 0.2554695831178805, 1.4634142707849553e-14, 480),
+    (RATIO_SHALLOW, 64.0, 10.0, 0.25491031297915956, 1.461231288252672e-14, 480),
+    (RATIO_SHALLOW, 64.0, -1000.0, 0.1631585510558995, 1.1529841103147663e-14, 480),
+    (RATIO_STEEP, 1.0, 0.0, 0.010390670909567442, 3.2924061148807013e-16, 480),
+    (RATIO_STEEP, 1.0, 10.0, 0.009890491448209937, 3.1858260668492684e-16, 480),
+    (RATIO_STEEP, 1.0, -1000.0, 0.0017810877364922404, 8.815952360300034e-17, 480),
+    (RATIO_STEEP, 8.0, 0.0, 3.867300346526738e-05, 1.5188102332792659e-18, 480),
+    (RATIO_STEEP, 8.0, 10.0, 3.867244292884122e-05, 1.5137596728279436e-18, 480),
+    (RATIO_STEEP, 8.0, -1000.0, 3.8728501668927366e-05, 1.5157565545757079e-18, 480),
+    (RATIO_STEEP, 64.0, 0.0, 8.698619951695501e-08, 4.0946386036252465e-21, 480),
+    (RATIO_STEEP, 64.0, 10.0, 8.698619915710152e-08, 4.100432036869509e-21, 480),
+    (RATIO_STEEP, 64.0, -1000.0, 8.69862355022073e-08, 4.0985945429003984e-21, 480),
 ]
 
 
@@ -166,39 +296,29 @@ def test_kernel_explicit_tolerance_is_bitwise_pinned(sing, s, y, value, error, e
     assert (got.value, got.error_estimate, got.evaluations) == (value, error, evaluations)
 
 
-def _count_passes(monkeypatch):
-    counts = []
-    real = kernels.integrate_2d
+def test_kernel_never_calls_the_2d_engine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel_K called integrate_2d")
 
-    def counted(*args, **kwargs):
-        res = real(*args, **kwargs)
-        counts.append(res.evaluations)
-        return res
-
-    monkeypatch.setattr(kernels, "integrate_2d", counted)
-    return counts
-
-
-def test_kernel_default_is_one_pass(monkeypatch):
-    counts = _count_passes(monkeypatch)
-    got = kernel_K(RATIO_SQUARE, 2.0, 10.0)
-    assert len(counts) == 1
-    assert got.evaluations == counts[0]
-    assert got.error_estimate <= 2e-6 * got.value
+    monkeypatch.setattr(quadrature, "integrate_2d", forbidden)
+    assert not hasattr(kernels, "integrate_2d")
+    for tol in (None, CONFIG_TOL):
+        got = kernel_K(RATIO_SQUARE, 2.0, 10.0, tol)
+        assert got.evaluations == 480  # the 12 initial panels, 16 + 24 nodes each
+        assert got.error_estimate <= 1e-13 * got.value
 
 
-def test_kernel_default_takes_a_second_pass_when_the_envelope_overshoots(monkeypatch):
-    # an envelope 1e4 times too large puts the first pass's absolute floor
-    # above 1e-6 K, so a second pass must restore the relative target
+def test_kernel_explicit_tolerance_raises_with_best_estimate():
     plain = kernel_K(RATIO_SQUARE, 2.0, 10.0)
-    counts = _count_passes(monkeypatch)
-    real_envelope = kernels.bound_envelope
-    monkeypatch.setattr(kernels, "bound_envelope", lambda *args: 1e4 * real_envelope(*args))
-    got = kernel_K(RATIO_SQUARE, 2.0, 10.0)
-    assert len(counts) == 2
-    assert got.evaluations == sum(counts)
-    assert got.value == pytest.approx(plain.value, rel=1e-6)
-    assert got.error_estimate <= 2e-6 * got.value
+    # a target below the rounding floor cannot be met
+    with pytest.raises(QuadratureError) as info:
+        kernel_K(RATIO_SQUARE, 2.0, 10.0, Tolerance(1e-16, 1e-300, 100_000))
+    assert info.value.best.value == plain.value
+    assert info.value.best.error_estimate > 1e-16 * plain.value
+    # a budget below the initial panels
+    with pytest.raises(QuadratureError, match="budget") as info:
+        kernel_K(RATIO_SQUARE, 2.0, 10.0, Tolerance(1e-8, 1e-10, 100))
+    assert info.value.best.evaluations == 480
 
 
 def test_kernel_two_coordinate_routes_agree():
@@ -245,15 +365,16 @@ def test_kernel_requires_positive_start():
 
 @pytest.mark.parametrize("s, y", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
 def test_kernel_rejects_non_finite_inputs(monkeypatch, s, y):
-    # rejected before any quadrature: unchecked, an infinite depth exhausts
-    # the evaluation budget and surfaces as a failed cell, an infinite height
-    # gives 0.0 and a NaN height a misleading tolerance error
-    counts = _count_passes(monkeypatch)
+    # rejected before the integrand is evaluated: unchecked, an infinite
+    # depth or height makes a non-finite integrand
+    calls = []
+    real = kernels.hyp2f1
+    monkeypatch.setattr(kernels, "hyp2f1", lambda *args: calls.append(args) or real(*args))
     with pytest.raises(ValueError, match="finite"):
         kernel_K(RATIO_SQUARE, s, y)
     with pytest.raises(ValueError, match="finite"):
         kernel_K(RATIO_SQUARE, s, y, CONFIG_TOL)
-    assert counts == []
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +431,15 @@ def test_kernel_report_flags_quadrature_failures_and_raises_bugs(monkeypatch):
 
 
 def test_kernel_report_cells_count_their_evaluations():
-    # the kernel-sweep cells at lambda = i: kernel_K's relative default
-    # takes fewer integrand evaluations than the config tolerance
+    # the kernel-sweep cells at lambda = i: the default and the config
+    # tolerance both stop at the initial panels, so their counts match
     grids = (1.0, 8.0, 64.0), (0.0, 10.0, -1000.0)
     default = kernel_report(RATIO_SQUARE, *grids)
     explicit = kernel_report(RATIO_SQUARE, *grids, tol=Tolerance(1e-8, 1e-10, 2_000_000))
     for report in (default, explicit):
         assert len(report.cells) == 9 and all(c.evaluations > 0 for c in report.cells)
     assert default.cells[0].evaluations == kernel_K(RATIO_SQUARE, 1.0, -1000.0).evaluations
-    assert sum(c.evaluations for c in default.cells) < sum(c.evaluations for c in explicit.cells)
+    assert [c.evaluations for c in default.cells] == [c.evaluations for c in explicit.cells]
 
 
 def test_kernel_report_refinement_reuses_coarse_cells(monkeypatch):

@@ -158,7 +158,8 @@ def test_triangle_mass_matches_dense_oracle(label, sing):
 @pytest.mark.parametrize("r", sorted(PINNED_CAUCHY_SQUARE))
 def test_cauchy_mass_matches_pinned_values(r):
     cur = default_current(RATIO_SQUARE, cauchy_profile())
-    assert mass_F(cur, RATIO_SQUARE, r).value == pytest.approx(PINNED_CAUCHY_SQUARE[r], rel=1e-8)
+    # abs=0: approx's default abs=1e-12 would let F ~ 7e-9 at r = 2^-12 drift by 1.5e-4
+    assert mass_F(cur, RATIO_SQUARE, r).value == pytest.approx(PINNED_CAUCHY_SQUARE[r], rel=1e-8, abs=0.0)
 
 
 # Bitwise pins of the default-tolerance mass at lambda = i: value, error
