@@ -434,15 +434,88 @@ class RegimeBand:
     thresholds: RegimeThresholds
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """One uniform double on ``[lo, hi)``: the bits and generator state of ``rng.uniform(lo, hi)``."""
-    return lo + (hi - lo) * rng.random()
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp`` or ``math.log``) elementwise through the C library.
+
+    numpy's SIMD ``exp`` and ``log`` (AVX-512 builds) differ from libm in the
+    last bit for some inputs, and the sampler's draws are defined through libm.
+    """
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
-def _sample_y(rng: np.random.Generator, y_min: float, y_max: float) -> float:
-    """One height: magnitude log-uniform in [y_min, y_max], random sign."""
-    mag = float(np.exp(_uniform(rng, math.log(y_min), math.log(y_max))))
-    return mag if rng.integers(0, 2) else -mag
+def _replay_draws(
+    sing: Singularity,
+    regime: str,
+    rng: np.random.Generator,
+    sample_count: int,
+    y_lo: float,
+    y_max: float,
+    thresholds: RegimeThresholds,
+):
+    """Sample arrays ``(v, t, y)`` of one height regime, replayed from raw words.
+
+    One ``random_raw`` call takes every word the samples can use; the draws
+    read from them are those of :func:`regime_constant_sampler`'s docstring,
+    in its order.  A near-origin sample whose ``mx`` is 1 makes no ``mn``
+    draw, which moves every later sample one word back; each such sample is
+    found in order and the layout redone from it.
+    """
+    c2, c3 = thresholds.c2, thresholds.c3
+    signed = regime != "boundary-strip"
+    words = rng.bit_generator.random_raw((4 * sample_count + (sample_count + 1) // 2) if signed else 3 * sample_count)
+    unit = (words >> 11) * 2.0**-53  # rng.random() of each word
+    k = np.arange(sample_count)
+    even = k % 2 == 0
+
+    def uniform(lo, hi, at):  # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
+        return lo + (hi - lo) * unit[at]
+
+    def exp_uniform(lo, hi, at):
+        return _libm(math.exp, uniform(lo, hi, at))
+
+    def draws(skipped):
+        at = (4 if signed else 3) * k - (np.cumsum(skipped) - skipped)  # each sample's height word
+        if signed:
+            at += (k + 1) // 2  # the sign words of the even samples before this one
+            sign_word = words[at[k - k % 2] + 1]
+            sign = np.where(even, sign_word >> 31, sign_word >> 63) & 1
+            mag = np.exp(uniform(math.log(y_lo), math.log(y_max), at))
+            y = np.where(sign == 1, mag, -mag)
+            at = at + 1 + even
+        else:
+            y = exp_uniform(math.log(y_lo), math.log(y_max), at)
+            at = at + 1
+        Y = scale_factor(sing, y)
+        if regime == "far":
+            mx = np.maximum(1.0, c2 * Y) * exp_uniform(0.0, math.log(10.0), at)
+            mn = exp_uniform(0.0, _libm(math.log, mx), at + 1)
+        elif regime == "near-origin":
+            mx = exp_uniform(0.0, _libm(math.log, Y / c2), at)
+            mn = np.where(skipped, 1.0, exp_uniform(0.0, _libm(math.log, mx), at + 1))
+        elif regime == "diagonal":
+            hi = _libm(math.log, c2 * Y)
+            mn = exp_uniform(_libm(math.log, np.maximum(1.0, Y / c2)), hi, at)
+            mx = exp_uniform(_libm(math.log, mn), hi, at + 1)
+        else:
+            mn = exp_uniform(0.0, _libm(math.log, Y / c3), at)
+            mx = exp_uniform(_libm(math.log, np.maximum(Y / c2, mn)), _libm(math.log, c2 * Y), at + 1)
+        return mn, mx, y, at + 2 - skipped
+
+    skipped = np.zeros(sample_count, dtype=bool)
+    while True:
+        mn, mx, y, swap_at = draws(skipped)
+        fresh = np.flatnonzero(~(mx > 1.0) & ~skipped) if regime == "near-origin" else ()
+        if len(fresh) == 0:
+            break
+        skipped[fresh[0]] = True
+    if not signed:
+        # the comparator's rho is defined on the v <= t branch with y > 0
+        # (the level equation has its root there); the reflection swapping
+        # the sector's boundary rays flips the sign of U and exchanges the
+        # branches, so positive y on this branch covers both cases
+        return mn, mx, y
+    keep = unit[swap_at] < 0.5
+    return np.where(keep, mn, mx), np.where(keep, mx, mn), y
 
 
 def regime_constant_sampler(
@@ -464,11 +537,26 @@ def regime_constant_sampler(
     The sequence of draws from ``np.random.default_rng(seed)`` is part of the
     output contract: the bands of a seed stay the same only while the same
     draws are made in the same order.  A draw is one uniform double
-    ``lo + (hi - lo) * rng.random()`` (the bits and generator state of
-    ``rng.uniform(lo, hi)``), one sign ``rng.integers(0, 2)``, or, for the
-    part-1 identities, one array of ``sample_count`` uniform doubles.  The
-    draws come first, one sample at a time; the density, the comparator and
-    its level-crossing root are then evaluated once on the whole sample.
+    ``lo + (hi - lo) * rng.random()`` (the bits of ``rng.uniform(lo, hi)``),
+    one sign ``rng.integers(0, 2)``, or, for the part-1 identities, one array
+    of ``sample_count`` uniform doubles.  A height regime draws one sample at
+    a time: the height (a log-uniform magnitude and a sign, or on the
+    boundary strip a positive height), then ``mx`` and ``mn`` (``mn`` and
+    ``mx`` on the diagonal and the strip), then, off the strip, one double
+    that decides which of them is ``v``.  The near-origin ``mn`` draw is
+    skipped when ``mx == 1``.  The draws go through libm's ``exp``, ``log``
+    and ``pow``, except numpy's ``exp`` for a signed height's magnitude.
+
+    That order is replayed from one ``rng.bit_generator.random_raw`` call
+    rather than made call by call.  A double is ``(word >> 11) * 2**-53``,
+    one word each.  A sign is bit 31 of a fresh word and the next sign bit
+    63 of that same word, which ``Generator.integers`` keeps buffered; so a
+    pair of signed samples takes 9 words, 5 then 4, and a strip sample 3.
+    The skipped draw moves every later sample one word back.  numpy does not
+    promise a ``Generator``'s stream across releases (NEP 19): this layout
+    is that of the declared floor ``numpy>=2.0``, and the tests hold it
+    against the scalar calls.  The density, the comparator and its
+    level-crossing root are then evaluated once on the whole sample.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
@@ -495,37 +583,7 @@ def regime_constant_sampler(
             y_lo = max(1.0, (c2 if regime == "near-origin" else c3) ** gamma)
             if y_lo >= y_max:
                 raise EmptyRegimeError(f"{regime} regime empty: needs |y| >= {y_lo:g} > y_max={y_max:g}")
-        inv_gamma = 1.0 / gamma
-        vs, ts, ys = np.empty(sample_count), np.empty(sample_count), np.empty(sample_count)
-        for k in range(sample_count):
-            if regime == "boundary-strip":
-                # the comparator's rho is defined on the v <= t branch with
-                # y > 0 (the level equation has its root there); the
-                # reflection swapping the sector's boundary rays flips the
-                # sign of U and exchanges the branches, so positive y on this
-                # branch covers both cases
-                y = math.exp(_uniform(rng, math.log(y_lo), math.log(y_max)))
-            else:
-                y = _sample_y(rng, y_lo, y_max)
-            Y = (1.0 + abs(y)) ** inv_gamma  # scale_factor(sing, y), on a Python float
-            if regime == "far":
-                lo = max(1.0, c2 * Y)
-                mx = lo * math.exp(_uniform(rng, 0.0, math.log(10.0)))
-                mn = math.exp(_uniform(rng, 0.0, math.log(mx)))
-            elif regime == "near-origin":
-                mx = math.exp(_uniform(rng, 0.0, math.log(Y / c2)))
-                mn = math.exp(_uniform(rng, 0.0, math.log(mx))) if mx > 1.0 else 1.0
-            elif regime == "diagonal":
-                hi = c2 * Y
-                mn = math.exp(_uniform(rng, math.log(max(1.0, Y / c2)), math.log(hi)))
-                mx = math.exp(_uniform(rng, math.log(mn), math.log(hi)))
-            else:
-                mn = math.exp(_uniform(rng, 0.0, math.log(Y / c3)))
-                hi = c2 * Y
-                mx = math.exp(_uniform(rng, math.log(max(Y / c2, mn)), math.log(hi)))
-                vs[k], ts[k], ys[k] = mn, mx, y
-                continue
-            vs[k], ts[k], ys[k] = (mn, mx, y) if rng.random() < 0.5 else (mx, mn, y)
+        vs, ts, ys = _replay_draws(sing, regime, rng, sample_count, y_lo, y_max, thresholds)
         ratios = poisson_density(sing, vs, ts, ys) / regime_comparator(sing, regime, vs, ts, ys, thresholds)
     else:
         raise ValueError(f"unknown regime {regime!r}")

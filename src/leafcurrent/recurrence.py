@@ -213,21 +213,24 @@ def _ambient_target(x) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 
-def _covering_image(uni: LeafUniformization, ts, n_theta: int, rng: np.random.Generator | None = None):
-    """Covering map ``(z, w)`` on circles of hyperbolic radii ``ts`` (rows), ``n_theta`` angles
-    each: the midpoint grid, or under ``rng`` one draw ``uniform(0, 2 pi, (len(ts), n_theta))``."""
+def _circle_angles(n_rows: int, n_theta: int, rng: np.random.Generator | None = None):
+    """Angles of ``n_rows`` circles, ``n_theta`` each: the midpoint grid (one row,
+    shared by every circle), or under ``rng`` one draw ``uniform(0, 2 pi, (n_rows, n_theta))``."""
     if rng is None:
-        thetas = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
-    else:
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=(len(ts), n_theta))
+        return (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+    return rng.uniform(0.0, 2.0 * math.pi, size=(n_rows, n_theta))
+
+
+def _covering_image(uni: LeafUniformization, ts, thetas):
+    """Covering map ``(z, w)`` on circles of hyperbolic radii ``ts`` (rows) at the
+    angles ``thetas`` (one row per circle, or one row for all)."""
     return uni.ambient_at(s_of_t(ts)[:, None] * np.exp(1j * thetas))
 
 
-def _ambient_distance(uni: LeafUniformization, x, ts, n_theta: int, rng: np.random.Generator | None):
-    """Euclidean distance from the ambient point ``x`` of :func:`_covering_image`."""
-    xz, xw = _ambient_target(x)
-    z, w = _covering_image(uni, ts, n_theta, rng)
-    return np.hypot(np.abs(z - xz), np.abs(w - xw))
+def _ambient_distance(uni: LeafUniformization, target: tuple[complex, complex], ts, thetas):
+    """Euclidean distance from the ambient point ``target`` of :func:`_covering_image`."""
+    z, w = _covering_image(uni, ts, thetas)
+    return np.hypot(np.abs(z - target[0]), np.abs(w - target[1]))
 
 
 def circle_average(
@@ -248,12 +251,19 @@ def circle_average(
         raise ValueError("ball radius must be positive")
     if n_theta < 8:
         raise ValueError("need at least eight angular nodes")
-    distance = _ambient_distance(uni, x, np.array([float(t)]), n_theta, rng)
+    distance = _ambient_distance(uni, _ambient_target(x), np.array([float(t)]), _circle_angles(1, n_theta, rng))
     return float(np.mean(distance < r))
 
 
+# circles per covering-map call in visibility: bounds the temporaries at
+# _ROW_BLOCK * n_theta nodes instead of n_t * n_theta
+_ROW_BLOCK = 8
+
+
 def _visibility(uni, x, radii, R, n_t, n_theta, rng, max_horizon=DEFAULT_MAX_HORIZON) -> list[float]:
-    # one distance array, thresholded at every radius: N is monotone in r
+    # one distance per node, thresholded at every radius: N is monotone in r;
+    # the nodes go through the covering map a block of circles at a time,
+    # elementwise, so the blocks give the bits of one whole-grid pass
     if R <= 0.0:
         raise ValueError("horizon must be positive")
     if R > max_horizon:
@@ -268,8 +278,15 @@ def _visibility(uni, x, radii, R, n_t, n_theta, rng, max_horizon=DEFAULT_MAX_HOR
     if any(r <= 0.0 for r in radii):
         raise ValueError("ball radius must be positive")
     ts = np.linspace(0.0, R, n_t)
-    distance = _ambient_distance(uni, x, ts, n_theta, rng)
-    return [float(np.trapezoid((distance < r).mean(axis=1), ts) / R) for r in radii]
+    target = _ambient_target(x)
+    thetas = _circle_angles(n_t, n_theta, rng)
+    inside = np.empty((len(radii), n_t))  # circle averages, one row per radius
+    for lo in range(0, n_t, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        distance = _ambient_distance(uni, target, ts[rows], thetas if rng is None else thetas[rows])
+        for row, r in zip(inside, radii):
+            row[rows] = (distance < r).mean(axis=1)
+    return [float(np.trapezoid(row, ts) / R) for row in inside]
 
 
 def visibility_N(
@@ -335,12 +352,39 @@ def M_of_R(R: float, tol: Tolerance | None = None) -> QuadResult:
     return QuadResult(2.0 * math.pi * res.value, 2.0 * math.pi * res.error_estimate, res.evaluations)
 
 
+# radial nodes of the pushforward's midpoint rule
+_PUSHFORWARD_N_T = 512
+
+
+def _check_pushforward_horizon(R: float, max_horizon: float) -> None:
+    if R <= 0.0:
+        raise ValueError("horizon must be positive")
+    if R > max_horizon:
+        raise ValueError(f"horizon {R} exceeds {max_horizon}")
+
+
+def _midpoint_mass(R: float, n_t: int, total: float, angular=None) -> float:
+    """Radial midpoint rule of the normalized pushforward on ``[0, R]``.
+
+    ``2 pi h sum_k a(t_k) circle_factor(t_k) / total`` on the nodes
+    ``t_k = (k + 1/2) h``, ``h = R / n_t``; ``angular`` maps the nodes to the
+    angular means ``a``, and ``None`` stands for ``a = 1`` (the mass of the
+    constant 1, which needs no covering map).
+    """
+    h = R / n_t
+    ts = (np.arange(n_t) + 0.5) * h
+    weights = circle_factor(ts)
+    if angular is not None:
+        weights = angular(ts) * weights
+    return 2.0 * math.pi * float(np.sum(weights) * h) / total
+
+
 def m_aR_pushforward(
     uni: LeafUniformization,
     R: float,
     f,
     tol: Tolerance | None = None,
-    n_t: int = 512,
+    n_t: int = _PUSHFORWARD_N_T,
     n_theta: int = 256,
     max_horizon: float = DEFAULT_MAX_HORIZON,
     total: QuadResult | None = None,
@@ -360,23 +404,20 @@ def m_aR_pushforward(
     which handles the logarithmic derivative blow-up of the weight at
     ``t = 0`` without special casing.
     """
-    if R <= 0.0:
-        raise ValueError("horizon must be positive")
-    if R > max_horizon:
-        raise ValueError(f"horizon {R} exceeds {max_horizon}")
+    _check_pushforward_horizon(R, max_horizon)
     if n_t < 8 or n_theta < 8:
         raise ValueError("need at least eight nodes per direction")
     if total is None:
         total = M_of_R(R, tol)
-    h = R / n_t
-    ts = (np.arange(n_t) + 0.5) * h
-    z, w = _covering_image(uni, ts, n_theta)
-    values = np.asarray(f(z, w), dtype=float)
-    if values.shape != z.shape:
-        raise ValueError("f must return one real value per grid node")
-    angular = values.mean(axis=1)  # already includes the 1/(2 pi)
-    weighted = float(np.sum(angular * circle_factor(ts)) * h)
-    return 2.0 * math.pi * weighted / total.value
+
+    def angular(ts):
+        z, w = _covering_image(uni, ts, _circle_angles(len(ts), n_theta))
+        values = np.asarray(f(z, w), dtype=float)
+        if values.shape != z.shape:
+            raise ValueError("f must return one real value per grid node")
+        return values.mean(axis=1)  # already includes the 1/(2 pi)
+
+    return _midpoint_mass(R, n_t, total.value, angular)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +502,13 @@ def recurrence_report(
     visibility = visibility_rows(uni, target, r_grid, horizon, n_t=n_t, n_theta=n_theta, rng=rng)
     horizon_rows = []
     for R in R_grid:
-        m = M_of_R(float(R))
-        mass = m_aR_pushforward(uni, float(R), lambda z, w: np.ones(z.shape), total=m)
-        horizon_rows.append((float(R), m.value, m.value - 2.0 * math.pi * R, mass))
+        R = float(R)
+        _check_pushforward_horizon(R, DEFAULT_MAX_HORIZON)
+        m = M_of_R(R)
+        # the pushforward of the constant 1 (m_aR_pushforward with f == 1):
+        # its angular means are exactly 1, so the rule skips the covering map
+        mass = _midpoint_mass(R, _PUSHFORWARD_N_T, m.value)
+        horizon_rows.append((R, m.value, m.value - 2.0 * math.pi * R, mass))
     ts = np.linspace(5.0, 15.0, 41)
     gaps = np.abs(circle_factor(ts) - 1.0)
     decay = float(np.polyfit(ts, np.log(gaps), 1)[0])

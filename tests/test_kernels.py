@@ -595,6 +595,125 @@ def test_sampler_stream_is_pinned():
     assert (steep.sup_ratio, steep.inf_ratio) == (0.2719506815897222, 0.03417064574619013)
 
 
+def _reference_draws(sing, regime, sample_count, seed, thresholds, y_max):
+    """``(v, t, y)`` of a height regime, drawn one sample at a time by scalar
+    generator calls: the definition of the draws that the sampler replays in
+    bulk from raw words.  ``seed`` is anything ``np.random.default_rng`` takes."""
+    c2, c3 = thresholds.c2, thresholds.c3
+    gamma = sing.gamma
+    rng = np.random.default_rng(seed)
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * rng.random()
+
+    y_lo = 1.0
+    if regime in ("near-origin", "boundary-strip"):
+        y_lo = max(1.0, (c2 if regime == "near-origin" else c3) ** gamma)
+        if y_lo >= y_max:
+            raise EmptyRegimeError(regime)
+    inv_gamma = 1.0 / gamma
+    vs, ts, ys = np.empty(sample_count), np.empty(sample_count), np.empty(sample_count)
+    for k in range(sample_count):
+        if regime == "boundary-strip":
+            y = math.exp(uniform(math.log(y_lo), math.log(y_max)))
+        else:
+            mag = float(np.exp(uniform(math.log(y_lo), math.log(y_max))))
+            y = mag if rng.integers(0, 2) else -mag
+        Y = (1.0 + abs(y)) ** inv_gamma
+        if regime == "far":
+            lo = max(1.0, c2 * Y)
+            mx = lo * math.exp(uniform(0.0, math.log(10.0)))
+            mn = math.exp(uniform(0.0, math.log(mx)))
+        elif regime == "near-origin":
+            mx = math.exp(uniform(0.0, math.log(Y / c2)))
+            mn = math.exp(uniform(0.0, math.log(mx))) if mx > 1.0 else 1.0
+        elif regime == "diagonal":
+            hi = c2 * Y
+            mn = math.exp(uniform(math.log(max(1.0, Y / c2)), math.log(hi)))
+            mx = math.exp(uniform(math.log(mn), math.log(hi)))
+        else:
+            mn = math.exp(uniform(0.0, math.log(Y / c3)))
+            hi = c2 * Y
+            mx = math.exp(uniform(math.log(max(Y / c2, mn)), math.log(hi)))
+            vs[k], ts[k], ys[k] = mn, mx, y
+            continue
+        vs[k], ts[k], ys[k] = (mn, mx, y) if rng.random() < 0.5 else (mx, mn, y)
+    return vs, ts, ys
+
+
+def _reference_band(sing, regime, draws, thresholds):
+    vs, ts, ys = draws
+    ratios = poisson_density(sing, vs, ts, ys) / regime_comparator(sing, regime, vs, ts, ys, thresholds)
+    return float(np.max(ratios)), float(np.min(ratios))
+
+
+HEIGHT_REGIMES = ("far", "near-origin", "diagonal", "boundary-strip")
+REPLAY_RATIOS = [normalize_singularity(1, lam) for lam in (1j, 1 + 1j, 2 + 1j, 0.5 + 2j, -0.5 + 1j)]
+
+
+@pytest.mark.parametrize("sing", [*REPLAY_RATIOS, RATIO_STEEP], ids=lambda s: f"gamma={s.gamma:.4g}")
+def test_bulk_bands_equal_the_scalar_draws(sing):
+    for regime in HEIGHT_REGIMES:
+        for thresholds in (RegimeThresholds(), RegimeThresholds().doubled()):
+            for seed in (0, 1, 7, 20250819):
+                for y_max in (1e4, 1e7):
+                    try:
+                        reference = _reference_draws(sing, regime, 2_500, seed, thresholds, y_max)
+                    except EmptyRegimeError:
+                        with pytest.raises(EmptyRegimeError):
+                            regime_constant_sampler(sing, regime, 2_500, seed, thresholds, y_max)
+                        continue
+                    # the scalar loop draws sample by sample, so its first n
+                    # samples do not depend on sample_count; odd counts end on
+                    # a sample that opens a fresh sign word
+                    for n in (2_000, 2_001, 2_500):
+                        band = regime_constant_sampler(sing, regime, n, seed, thresholds, y_max)
+                        want = _reference_band(sing, regime, [a[:n] for a in reference], thresholds)
+                        assert (band.sup_ratio, band.inf_ratio) == want, (regime, thresholds, seed, y_max, n)
+
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_emitting(word: int, position: int) -> np.random.PCG64:
+    """A PCG64 whose raw output number ``position`` (from 0) is ``word``.
+
+    PCG64 steps its 128-bit state ``s -> s * multiplier + inc`` and outputs
+    ``rotr64(hi(s) ^ lo(s), s >> 122)`` of the new state; a state with top six
+    bits zero outputs ``hi ^ lo`` unrotated, and the steps before it are undone
+    with the multiplier's inverse.
+    """
+    bitgen = np.random.PCG64(0)
+    inc = bitgen.state["state"]["inc"]
+    hi = 0x0123456789ABCDEF
+    state = (hi << 64) | (hi ^ word)
+    inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(position + 1):
+        state = ((state - inc) * inverse) & _MASK128
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return bitgen
+
+
+@pytest.mark.parametrize("sample", [3, 6])
+def test_skipped_near_origin_draw_is_replayed(sample):
+    # the word of sample k's mx draw while no sample before it skipped: four
+    # words a sample, one more sign word on each even sample, and mx after
+    # the height and the sign
+    position = 4 * sample + (sample + 1) // 2 + 1 + (sample % 2 == 0)
+    word = 0x5A5  # word >> 11 == 0, so rng.random() == 0.0 and mx == exp(0.0) == 1
+    assert _pcg64_emitting(word, position).random_raw(position + 1)[-1] == word
+    thresholds = RegimeThresholds()
+    reference = _reference_draws(RATIO_SQUARE, "near-origin", 2_001, _pcg64_emitting(word, position), thresholds, 1e4)
+    assert (reference[0][sample], reference[1][sample]) == (1.0, 1.0)  # the mn draw was skipped
+    y_lo = thresholds.c2**RATIO_SQUARE.gamma
+    rng = np.random.default_rng(_pcg64_emitting(word, position))
+    replayed = kernels._replay_draws(RATIO_SQUARE, "near-origin", rng, 2_001, y_lo, 1e4, thresholds)
+    assert [a.tobytes() for a in replayed] == [a.tobytes() for a in reference]
+    band = regime_constant_sampler(RATIO_SQUARE, "near-origin", 2_001, _pcg64_emitting(word, position), thresholds)
+    assert (band.sup_ratio, band.inf_ratio) == _reference_band(RATIO_SQUARE, "near-origin", reference, thresholds)
+
+
 def test_regime_functions_on_arrays_match_scalar_calls():
     rng = np.random.default_rng(5)
     v = np.exp(rng.uniform(0.0, 4.0, 300))

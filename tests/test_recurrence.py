@@ -14,10 +14,12 @@ Oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from leafcurrent import recurrence
 from leafcurrent.geometry import (
     SectorDomainError,
     leaf_point,
@@ -262,21 +264,56 @@ def test_visibility_needs_eight_angular_nodes(n_theta):
 R_GRID_12 = tuple(2.0**-k for k in range(1, 13))
 
 
-def test_visibility_rows_make_one_covering_pass_per_target(monkeypatch):
-    uni = square_uniformization()
-    shapes = []
+def _counting_ambient_at(monkeypatch) -> list:
+    """Patch ``ambient_at`` to record every array of disc points it is given."""
+    seen = []
     real_ambient_at = LeafUniformization.ambient_at
 
     def counted(self, xi):
-        shapes.append(np.shape(xi))
+        seen.append(np.array(xi))
         return real_ambient_at(self, xi)
 
     monkeypatch.setattr(LeafUniformization, "ambient_at", counted)
-    for rng in (None, np.random.default_rng(3)):
-        shapes.clear()
-        rows = visibility_rows(uni, 0, R_GRID_12, 20.0, n_t=16, n_theta=256, rng=rng)
-        assert len(rows) == 12
-        assert shapes == [(16, 256)]
+    return seen
+
+
+def test_visibility_rows_make_one_covering_pass_per_target(monkeypatch):
+    # every (t, theta) node reaches the covering map exactly once, in blocks
+    # of whole circles (the last one partial at n_t = 21), and the number of
+    # radii adds no pass
+    uni = square_uniformization()
+    seen = _counting_ambient_at(monkeypatch)
+    midpoints = (np.arange(256) + 0.5) * (2.0 * math.pi / 256)
+    for n_t in (16, 21):
+        ts = np.linspace(0.0, 20.0, n_t)
+        for seed in (None, 3):
+            thetas = midpoints if seed is None else np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, (n_t, 256))
+            nodes = s_of_t(ts)[:, None] * np.exp(1j * thetas)
+            for r_grid in (R_GRID_12, R_GRID_12[:1]):
+                seen.clear()
+                rng = None if seed is None else np.random.default_rng(seed)
+                rows = visibility_rows(uni, 0, r_grid, 20.0, n_t=n_t, n_theta=256, rng=rng)
+                assert len(rows) == len(r_grid)
+                assert all(xi.ndim == 2 and xi.shape[1] == 256 for xi in seen)
+                assert sum(len(xi) for xi in seen) == n_t
+                assert np.array_equal(np.concatenate(seen), nodes)
+
+
+def test_visibility_blocks_bound_the_peak_memory(monkeypatch):
+    uni = square_uniformization()
+
+    def peak() -> int:
+        tracemalloc.start()
+        try:
+            visibility_rows(uni, 0, R_GRID_12, 20.0, n_t=64, n_theta=4096, rng=np.random.default_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak()
+    monkeypatch.setattr(recurrence, "_ROW_BLOCK", 64)  # one block: the whole grid at once
+    whole = peak()
+    assert blocked < whole / 3
 
 
 def test_visibility_rows_match_the_per_radius_loop_on_fixed_angles():
@@ -476,3 +513,23 @@ def test_report_assembles_fixed_order_tables():
         assert dev == pytest.approx(m_val - 2.0 * math.pi * R)
         assert mass == pytest.approx(1.0, abs=1e-3)
     assert rep.decay_fit == pytest.approx(-2.0, abs=0.01)
+
+
+def test_horizon_row_mass_is_the_pushforward_of_one():
+    uni = square_uniformization()
+    rep = recurrence_report(uni, r_grid=(0.5,), R_grid=(5.0, 12.5, 20.0), horizon=5.0, n_t=16, n_theta=64)
+    for R, m_val, _, mass in rep.horizon_rows:
+        assert m_val == M_of_R(R).value
+        assert mass == m_aR_pushforward(uni, R, lambda z, w: np.ones(z.shape), total=M_of_R(R))
+    for R in (0.0, DEFAULT_MAX_HORIZON + 1.0):
+        with pytest.raises(ValueError, match="horizon"):
+            recurrence_report(uni, r_grid=(0.5,), R_grid=(R,), horizon=5.0, n_t=16, n_theta=64)
+
+
+def test_report_maps_only_the_visibility_nodes(monkeypatch):
+    # the horizon rows' mass of the constant 1 needs no covering map
+    uni = square_uniformization()
+    seen = _counting_ambient_at(monkeypatch)
+    rep = recurrence_report(uni, r_grid=(0.5, 0.25), R_grid=(5.0, 20.0), horizon=10.0, n_t=16, n_theta=256)
+    assert len(rep.horizon_rows) == 2
+    assert sum(xi.size for xi in seen) == 16 * 256
