@@ -26,7 +26,9 @@ default grids; ``mass_F``: 1e-8 of ``F``).
 Exit codes: 0 on success; 1 when a quadrature stage failed to converge
 (partial reports are still written, with the failure flagged in the
 bundle warnings); 2 on configuration errors (with a line/field
-diagnostic on stderr) or unwritable output paths.
+diagnostic on stderr) or unwritable output paths.  A regime that cannot be
+sampled (an empty hypothesis set, or a boundary-strip crossing that
+``rho_solver`` cannot place) is a warning and a missing row, not a failure.
 
 The sweep defaults follow the default suite: ``kernel-bound`` runs every
 configured eigenvalue pair, while ``profile``, ``regimes``, and
@@ -181,6 +183,9 @@ def _run_regimes(state: _RunState) -> None:
             )
         except EmptyRegimeError as exc:
             state.warn(f"regime {regime}: empty hypothesis set: {exc}")
+            continue
+        except NoRootError as exc:
+            state.warn(f"regime {regime}: level crossing failed: {exc}")
             continue
         drift = abs(doubled.sup_ratio - band.sup_ratio) / band.sup_ratio
         rows.append((regime, band.sample_count, band.inf_ratio, band.sup_ratio, drift))

@@ -70,8 +70,6 @@ REGIMES = (
     "boundary-strip",
 )
 
-_REGIME_BY_PART = {2: "far", 3: "near-origin", 4: "diagonal", 5: "boundary-strip"}
-
 
 class EmptyRegimeError(ValueError):
     """The hypothesis set of a regime is empty for the given thresholds."""
@@ -179,6 +177,12 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
     proof, not a probe: along the radial ray ``|w^gamma - y| >= |w|^gamma
     sin(gamma theta)``, ``theta = arg z_m``, so ``|Phi(z_m)| <=
     |z_m|^{1-gamma} / ((gamma-1) sin(gamma theta))`` for every real ``y``.
+
+    Near ``gamma = 1`` the floor, not the rule, sets the bar: at
+    ``lambda = 5+0.2i`` (``gamma = 1.013``) it is 6e-13 to 3.5e-12 of ``K``
+    on the default ``(s, y)`` grid.
+    ``hyp2f1`` is within 46 eps of ``mpmath`` there, and the cancellation of
+    the imaginary parts scales that by about 30.
 
     An explicit ``tol`` raises :class:`QuadratureError` (with ``best``) when
     the error estimate exceeds its target or the evaluations exceed

@@ -430,9 +430,9 @@ def test_recurrence_stage_computes_horizon_rows_once(tmp_path, monkeypatch) -> N
     calls = []
     real_M_of_R = recurrence.M_of_R
 
-    def counted(R, tol=None):
+    def counted(R):
         calls.append(R)
-        return real_M_of_R(R, tol)
+        return real_M_of_R(R)
 
     monkeypatch.setattr(recurrence, "M_of_R", counted)
     R_grid = [5.0, 10.0]
@@ -550,6 +550,49 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_leaf_statistics_stages_leave_scipy_integrate_and_optimize_unloaded(tmp_path) -> None:
+    # M_R is a closed form and rho_solver is the library's own: running
+    # regimes and recurrence imports neither module
+    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    config = _write(
+        tmp_path / "c.json",
+        {
+            "regimes": {"sampleCount": 200},
+            "grids": {"rGrid": [2.0**-7], "RGrid": [5.0, 20.0]},
+            "recurrence": {"nT": 16, "nTheta": 256, "horizon": 8.0},
+        },
+    )
+    probe = (
+        "import sys; from leafcurrent.cli import run_command; "
+        f"codes = [run_command([cmd, '--config', {config!r}, '--out', {str(tmp_path)!r} + '/' + cmd]) "
+        "for cmd in ('regimes', 'recurrence')]; "
+        "print(codes, sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "recurrence" / "recurrence_horizon.csv").exists()
+
+
+def test_regimes_stage_warns_when_the_boundary_strip_has_no_crossing(tmp_path, capsys) -> None:
+    # at lambda = 5+0.2i (gamma = 1.013) the default thresholds put the
+    # boundary strip's crossing outside the comparability band
+    config = _write(tmp_path / "c.json", {"singularity": [[[1, 0], [5, 0.2]]], "regimes": {"sampleCount": 500}})
+    assert run_command(["regimes", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "regimes.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        "part1-radius", "part1-height", "far", "near-origin", "diagonal",
+    ]
+    assert (tmp_path / "out" / "rho_residuals.csv").exists()
+    warned = json.loads((tmp_path / "out" / "metadata.json").read_text())["warnings"]
+    strip = [w for w in warned if w.startswith("regime boundary-strip:")]
+    assert len(strip) == 1
+    assert "violates the comparability band" in strip[0]
 
 
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch, capsys) -> None:

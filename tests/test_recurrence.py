@@ -3,7 +3,8 @@
 Oracles:
 
 * the dense polar Riemann sum for the normalization integral at small
-  horizon (frozen below at ``R = 1``);
+  horizon (frozen below at ``R = 1``), and ``mpmath`` on its closed form
+  ``4 pi [log cosh(R/2) - sinh^2(R/2) log tanh(R/2)]`` at every horizon;
 * the analytic limit of its linear deviation: ``M_R - 2 pi R`` converges to
   ``-2 pi (2 log 2 - 1)``, since ``int_0^inf (1 - sinh t log coth(t/2)) dt
   = 2 log 2 - 1``; the computed deviation matches that constant to 4e-14
@@ -15,6 +16,7 @@ Oracles:
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +360,37 @@ def test_normalization_positive_and_increasing():
         M_of_R(0.0)
 
 
+def _mpmath_M(R, mpmath):
+    """``M_R`` from its closed form in ``mpmath``, and the precision it ran at.
+
+    ``tanh(R/2)`` is ``1 - 2 e^{-R}``: at a fixed 50 digits it rounds to 1
+    past ``R ~ 100``, so the precision grows with ``R``; ``cosh(R/2)`` is
+    ``1 + R^2/8``, so it grows as ``R`` shrinks too.
+    """
+    dps = int(0.44 * R + 2.0 * max(0.0, -math.log10(R))) + 30
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(R) / 2
+        return 4 * mpmath.pi * (mpmath.log(mpmath.cosh(t)) - mpmath.sinh(t) ** 2 * mpmath.log(mpmath.tanh(t))), dps
+
+
+@pytest.mark.parametrize("R", [1e-8, 1e-3, 0.25, 1.0, 4.0, 5.0, 10.0, 12.5, 15.0, 17.5, 20.0, 25.0, 100.0, 800.0])
+def test_normalization_is_within_one_ulp_of_mpmath(R):
+    mpmath = pytest.importorskip("mpmath")
+    res = M_of_R(R)
+    exact, dps = _mpmath_M(R, mpmath)
+    nearest = float(exact)  # the correctly rounded M_R
+    assert res.evaluations == 0
+    assert abs(res.value - nearest) <= math.ulp(nearest)
+    with mpmath.workdps(dps):
+        assert abs(mpmath.mpf(res.value) - exact) <= res.error_estimate
+
+
+def test_normalization_rejects_non_finite_horizons():
+    for R in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon"):
+            M_of_R(R)
+
+
 def test_normalization_deviation_reaches_analytic_limit():
     radii = list(range(10, 21, 2))
     devs = [M_of_R(float(R)).value - 2.0 * math.pi * R for R in radii]
@@ -419,6 +452,34 @@ def test_circle_factor_positive_and_tends_to_one():
     assert circle_factor(700.0) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         circle_factor(0.0)
+
+
+# circle_factor's bits on the report path (t <= 25), both branches
+CIRCLE_FACTOR_BITS = {
+    1e-3: "0x1.f22201485d28ep-8",
+    0.5: "0x1.7757d73bf9d3fp-1",
+    1.0: "0x1.d07a0a1c46f34p-1",
+    5.0: "0x1.fffc08695ac0ap-1",
+    10.0: "0x1.fffffff432512p-1",
+    19.5: "0x1.fffffffffffffp-1",
+    20.0: "0x1.0000000000000p+0",
+    25.0: "0x1.0000000000000p+0",
+}
+
+
+def test_circle_factor_bits_are_pinned_on_the_report_path():
+    ts = np.array(list(CIRCLE_FACTOR_BITS))
+    assert [v.hex() for v in circle_factor(ts)] == list(CIRCLE_FACTOR_BITS.values())
+    assert [circle_factor(float(t)).hex() for t in ts] == list(CIRCLE_FACTOR_BITS.values())
+
+
+def test_circle_factor_is_silent_once_sinh_overflows():
+    # at t = 800, e^-t underflows and sinh(t) overflows: the discarded
+    # direct branch must not leak an inf * 0 warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert circle_factor(800.0) == 1.0
+        assert list(circle_factor(np.array([25.0, 800.0]))) == [1.0, 1.0]
 
 
 def test_circle_factor_series_branch_is_continuous():
@@ -520,10 +581,24 @@ def test_horizon_row_mass_is_the_pushforward_of_one():
     rep = recurrence_report(uni, r_grid=(0.5,), R_grid=(5.0, 12.5, 20.0), horizon=5.0, n_t=16, n_theta=64)
     for R, m_val, _, mass in rep.horizon_rows:
         assert m_val == M_of_R(R).value
-        assert mass == m_aR_pushforward(uni, R, lambda z, w: np.ones(z.shape), total=M_of_R(R))
+        assert mass == m_aR_pushforward(uni, R, lambda z, w: np.ones(z.shape))
     for R in (0.0, DEFAULT_MAX_HORIZON + 1.0):
         with pytest.raises(ValueError, match="horizon"):
             recurrence_report(uni, r_grid=(0.5,), R_grid=(R,), horizon=5.0, n_t=16, n_theta=64)
+
+
+def test_report_runs_no_quadrature(monkeypatch):
+    # M_R is a closed form: no stage of the report reaches the 1D engine
+    from leafcurrent import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_1d called")
+
+    monkeypatch.setattr(quadrature, "integrate_1d", refuse)
+    monkeypatch.setattr(recurrence, "integrate_1d", refuse, raising=False)
+    uni = square_uniformization()
+    rep = recurrence_report(uni, r_grid=(0.5,), R_grid=(5.0, 20.0), horizon=5.0, n_t=16, n_theta=64)
+    assert [row[1] for row in rep.horizon_rows] == [M_of_R(5.0).value, M_of_R(20.0).value]
 
 
 def test_report_maps_only_the_visibility_nodes(monkeypatch):
