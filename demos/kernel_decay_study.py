@@ -14,8 +14,8 @@ vanishing argument: K_s(y) <= c * s^{1 - gamma} once s dominates
   2. reports the empirical constant sup K_s(y) / envelope(s, y) together
      with its change under factor-2 grid refinement (a stable sup is the
      numerical signature that the envelope has the right shape),
-  3. cross-checks the integration route against an independent nested
-     quadrature in the original (u, v) variables, and
+  3. cross-checks the 1D diagonal route against the defining 2D integral
+     on the corner quadrature engine, and
   4. fits the decay slope of log K_s(0) against log s.
 """
 

@@ -11,8 +11,9 @@ Jacobian of ``(u, v) -> (t, v)``, ``t = b u + a v``.  The Poisson factor is
 ``-Im 1/(zeta^gamma - y)``, holomorphic in ``zeta``, so integrating the
 non-``min`` variable first on each side of the diagonal ``t = v`` leaves one
 1D integral of a closed-form hypergeometric function; :func:`kernel_K`
-evaluates that, and :func:`kernel_uv_form` the 2D integral itself as a
-cross-check.  The certified decay envelope is
+evaluates that.  :func:`kernel_uv_form`, its cross-check, runs the 2D
+integral itself on the corner engine
+:func:`~leafcurrent.quadrature.integrate_2d`.  The certified decay envelope is
 
     ``(1 + |y|)^{1/gamma - 1} min(1, ((1 + |y|)^{1/gamma} / s)^{gamma - 1})``
 
@@ -35,7 +36,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import hyp2f1
 
-from .geometry import Singularity, power_polar
+from . import quadrature
+from .geometry import Singularity, power_polar, power_polar_uv
 from .quadrature import QuadratureError, QuadResult, Tolerance, integrate_1d
 
 __all__ = [
@@ -94,23 +96,12 @@ class RegimeThresholds:
         return RegimeThresholds(c2=2.0 * self.c2, c3=2.0 * self.c3)
 
 
-def _libm_pow(x, p: float):
-    """``x ** p`` through the C library's ``pow``, elementwise on arrays.
-
-    On scalars ``**`` already calls ``pow``; numpy's array ``power`` (SVML on
-    AVX-512 builds) differs from it in the last bit for about 5% of inputs.
-    The regime functions use this so that their array form reproduces their
-    scalar form bit for bit.
-    """
-    if np.ndim(x) == 0:
-        return x**p
-    x = np.asarray(x, dtype=float)
-    return np.fromiter((e**p for e in x.flat), dtype=float, count=x.size).reshape(x.shape)
-
-
+# Powers go through np.float_power: its float64 loop calls the C library's pow,
+# as ``**`` does on scalars, so array forms keep the scalar bits; numpy's array
+# power (SVML on AVX-512 builds) differs from pow in the last bit on about 5%.
 def scale_factor(sing: Singularity, y) -> np.ndarray:
     """Comparability scale ``(1 + |y|)^{1/gamma}``."""
-    return _libm_pow(1.0 + np.abs(np.asarray(y, dtype=float)), 1.0 / sing.gamma)
+    return np.float_power(1.0 + np.abs(np.asarray(y, dtype=float)), 1.0 / sing.gamma)
 
 
 def bound_envelope(sing: Singularity, s: float, y: float) -> float:
@@ -122,11 +113,11 @@ def bound_envelope(sing: Singularity, s: float, y: float) -> float:
 
 def _sector_power(sing: Singularity, v, t):
     """``(U, V)`` of ``(u + iv)^gamma`` at sector coordinates ``(v, t)``:
-    :func:`power_polar`'s operations with :func:`_libm_pow` for the power."""
+    :func:`power_polar`'s operations with ``np.float_power`` for the power."""
     u = (t - sing.a * v) / sing.b
     rho = np.hypot(u, v)
     theta = np.arctan2(v, u)
-    rg = _libm_pow(rho, sing.gamma)
+    rg = np.float_power(rho, sing.gamma)
     return rg * np.cos(sing.gamma * theta), rg * np.sin(sing.gamma * theta)
 
 
@@ -134,7 +125,7 @@ def poisson_density(sing: Singularity, v, t, y):
     """Poisson value ``V / (V^2 + (y - U)^2)`` at the sector point with
     coordinates ``(v, t)`` (vectorized; arrays give the scalar form's bits)."""
     U, V = _sector_power(sing, np.asarray(v, dtype=float), np.asarray(t, dtype=float))
-    return V / (V * V + _libm_pow(np.asarray(y, dtype=float) - U, 2.0))
+    return V / (V * V + np.float_power(np.asarray(y, dtype=float) - U, 2.0))
 
 
 # kernel_K integrates in x = m - s on fixed Gauss-Legendre panels over [0, 40],
@@ -257,99 +248,34 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
 
 
 def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None = None) -> float:
-    """Independent route: nested 1D quadrature in the original ``(u, v)``.
+    """Independent route: ``K_s(y)`` as the defining 2D integral.
 
-    The domain is ``{v >= s, b u + a v >= s}`` and the integrand carries no
-    Jacobian.  Used as a cross-check of :func:`kernel_K`; slower but entirely
-    disjoint in code path (different library integrator, different variables).
+        ``K_s(y) = (1/b) int_{min(t,v) >= s} e^{2s - 2 min(t,v)}
+                   V / (V^2 + (y - U)^2) dt dv``
+
+    with ``U + iV = ((t - a v)/b + i v)^gamma``, integrated in ``(t, v)``
+    (``t = b u + a v``, so ``1/b`` is the Jacobian) by
+    :func:`~leafcurrent.quadrature.integrate_2d`.  It shares no code with
+    :func:`kernel_K`, whose cross-check it is.  The default tolerance is
+    ``Tolerance(1e-9, 1e-11 * bound_envelope(s, y), 4_000_000)``; an explicit
+    ``tol`` goes to the engine unchanged, and there the value is bit for bit
+    that of ``kernel_K``'s retired 2D route.  ``s`` and ``y`` must be finite.
     """
-    from scipy.optimize import brentq  # its only user; kept out of the library's import
-
-    if not s > 0.0:
-        raise ValueError("s must be positive")
+    if not (s > 0.0 and math.isfinite(s)):
+        raise ValueError("s must be positive and finite")
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
     a, b, gamma = sing.a, sing.b, sing.gamma
-    inner_tol = Tolerance(rel_tol=1e-10, abs_tol=1e-13 if tol is None else tol.abs_tol / 100.0, max_evals=400_000)
-    outer_tol = Tolerance(rel_tol=1e-9, abs_tol=1e-12 if tol is None else tol.abs_tol, max_evals=2_000_000)
 
-    def u_ridge(v: float) -> float | None:
-        """Root of Re((u+iv)^gamma) = y on the increasing ray (y > 0 only).
+    def integrand(t, v):
+        U, V = power_polar_uv((t - a * v) / b, v, gamma)
+        m = np.minimum(t, v)
+        return np.exp(2.0 * s - 2.0 * m) * V / (V * V + (y - U) ** 2) / b
 
-        Only the sharp case matters: for v well above the comparability
-        scale the Poisson density is uniformly flat on the level line, so the
-        crossing needs no break point (and its location suffers catastrophic
-        cancellation anyway)."""
-        if y <= 0.0 or v > 10.0 * (1.0 + y) ** (1.0 / gamma):
-            return None
-        u0 = max(v / math.tan(math.pi / (2.0 * gamma)), 1e-12)
-
-        def g(u: float) -> float:
-            U, _ = power_polar(complex(u, v), gamma)
-            return float(U) - y
-
-        hi = max(2.0 * u0, 2.0 * (1.0 + y) ** (1.0 / gamma), 2.0)
-        for _ in range(200):
-            if g(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            return None
-        try:
-            return brentq(g, u0, hi, xtol=1e-10, maxiter=200)
-        except ValueError:
-            return None
-
-    def inner(v: float) -> float:
-        u_lo = (s - a * v) / b
-        # the t-branch weight is exp(-2 b (u - u_lo)): dead past this point
-        u_death = u_lo + 346.0 / b
-        if u_death <= u_lo or abs(u_lo) > 1e60:
-            # window narrower than one ulp of u_lo: the Poisson factor is far
-            # below underflow at such v, so the row contributes nothing
-            return 0.0
-
-        def f(u: float) -> float:
-            t = b * u + a * v
-            w = 2.0 * s - 2.0 * min(t, v)
-            if w < -690.0 or math.hypot(u, v) > 1e60:
-                # exp factor underflows, or Poisson <= |zeta|^{-gamma} <= 1e-60
-                return 0.0
-            U, V = power_polar(complex(u, v), gamma)
-            return math.exp(w) * float(V) / (float(V) ** 2 + (y - float(U)) ** 2)
-
-        # split where min(t, v) switches branch (t = v along u = v(1-a)/b),
-        # at the Poisson ridge U = y where the density peaks, and on the
-        # exponential decay scale of the t-branch weight: for large v all the
-        # mass hugs u_lo in a window invisible to samples of the full interval
-        switch = v * (1.0 - a) / b
-        ridge = u_ridge(v)
-        window = [u_lo + 2.0 / b, u_lo + 20.0 / b, u_lo + 200.0 / b, switch, ridge]
-        breaks = [p for p in window if p is not None and u_lo < p < u_death]
-        total = integrate_1d(f, u_lo, u_death, tol=inner_tol, break_points=breaks).value
-        if 2.0 * s - 2.0 * v >= -690.0:
-            # the flat min = v branch is still alive beyond the window (the
-            # switch point then always lies inside it; only the ridge can fall
-            # this far out)
-            tail_breaks = [p for p in (switch, ridge) if p is not None and p > u_death]
-            total += integrate_1d(f, u_death, math.inf, tol=inner_tol, break_points=tail_breaks).value
-        return total
-
-    # outer integration in x = log v turns the algebraic tail (inner decays
-    # like v^{-gamma-1}) into an exponential one; break near the ridge scale
-    def outer(x: float) -> float:
-        if x > 700.0:
-            return 0.0
-        v = math.exp(x)
-        return inner(v) * v
-
-    Y = float(scale_factor(sing, y))
-    # third break: past v = s + 352 the min = v branch underflows entirely and
-    # the inner integral turns into a pure algebraic tail
-    x_breaks = [
-        x
-        for x in (math.log(max(Y / 4.0, s)), math.log(max(4.0 * Y, s)), math.log(s + 352.0))
-        if x > math.log(s)
-    ]
-    return integrate_1d(outer, math.log(s), math.inf, tol=outer_tol, break_points=x_breaks).value
+    if tol is None:
+        tol = Tolerance(rel_tol=1e-9, abs_tol=1e-11 * bound_envelope(sing, s, y), max_evals=4_000_000)
+    decay = quadrature.DecayDescriptor(exp_rate=1.5, alg_rate=gamma + 1.0)
+    return quadrature.integrate_2d(integrand, s, decay, tol).value
 
 
 def exp_moment_oracle(s0: float, tol: Tolerance | None = None) -> float:
@@ -412,16 +338,16 @@ def regime_comparator(
     thresholds = thresholds or RegimeThresholds()
     mn, mx = np.minimum(v, t), np.maximum(v, t)
     if regime == "far":
-        out = mn / _libm_pow(mx, sing.gamma + 1.0)
+        out = mn / np.float_power(mx, sing.gamma + 1.0)
     elif regime == "near-origin":
         _, V = _sector_power(sing, v, t)
-        out = V / _libm_pow(1.0 + abs(y), 2.0)
+        out = V / np.float_power(1.0 + abs(y), 2.0)
     elif regime == "diagonal":
         out = 1.0 / (1.0 + abs(y))
     elif regime == "boundary-strip":
         rho = rho_solver(sing, y, mn, thresholds=thresholds)
-        head = _libm_pow(1.0 + abs(y), 1.0 / sing.gamma - 1.0)
-        out = head * mn / (mn * mn + _libm_pow(mx - rho, 2.0))
+        head = np.float_power(1.0 + abs(y), 1.0 / sing.gamma - 1.0)
+        out = head * mn / (mn * mn + np.float_power(mx - rho, 2.0))
     else:
         raise ValueError(f"no comparator for regime {regime!r}")
     return float(out) if np.ndim(out) == 0 else out

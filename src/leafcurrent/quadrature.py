@@ -11,8 +11,10 @@ Two entry points:
   ``min(t, v)`` and algebraically in ``max(t, v)``.  The domain is truncated so
   a closed-form tail bound sits below the absolute tolerance, the interior is
   handled by adaptive tensor Gauss-Legendre panels, and the tail bound is added
-  to the reported error estimate.  It serves the mass layer only; the kernel
-  ``K_s(y)`` reduces to a 1D integral (:func:`~leafcurrent.kernels.kernel_K`).
+  to the reported error estimate.  It carries every 2D integral of the
+  library: the ball mass, the Fubini bound and the kernel's cross-check
+  (:func:`~leafcurrent.kernels.kernel_uv_form`); the kernel ``K_s(y)``
+  itself reduces to a 1D integral (:func:`~leafcurrent.kernels.kernel_K`).
 
 The 2D panels are refined in rounds: each round splits the fewest worst
 panels whose errors cover the excess over the tolerance and scores all their

@@ -538,8 +538,9 @@ def test_module_entry_point_runs_the_cli(tmp_path) -> None:
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
-    # integrate_1d and kernel_uv_form import them on first call: loading the
-    # CLI costs about 25 MB and 0.5 s less without them
+    # integrate_1d imports scipy.integrate on first call, and nothing in the
+    # library imports scipy.optimize: loading the CLI costs about 25 MB and
+    # 0.5 s less without them
     src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -550,6 +551,22 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_kernel_cross_check_leaves_scipy_integrate_and_optimize_unloaded() -> None:
+    # kernel_uv_form is one integrate_2d call: no QUADPACK, no root finder
+    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys; from leafcurrent.geometry import normalize_singularity; "
+        "from leafcurrent.kernels import kernel_uv_form; "
+        "print(kernel_uv_form(normalize_singularity(1, 1j), 2.0, 10.0) > 0.0, "
+        "sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True []"
 
 
 def test_leaf_statistics_stages_leave_scipy_integrate_and_optimize_unloaded(tmp_path) -> None:

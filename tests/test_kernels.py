@@ -299,6 +299,13 @@ def test_kernel_explicit_tolerance_is_bitwise_pinned(sing, s, y, value_2d, error
     assert abs(got.value - value_2d) <= error_2d
 
 
+@pytest.mark.parametrize("sing, s, y, value_2d", [row[:4] for row in BITWISE_KERNEL])
+def test_kernel_uv_form_is_the_retired_2d_route(sing, s, y, value_2d):
+    # at an explicit tolerance the cross-check runs the integrand and engine
+    # call of kernel_K's retired 2D route unchanged
+    assert kernel_uv_form(sing, s, y, CONFIG_TOL) == value_2d
+
+
 def test_kernel_never_calls_the_2d_engine(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("kernel_K called integrate_2d")
@@ -373,10 +380,12 @@ def test_kernel_rejects_non_finite_inputs(monkeypatch, s, y):
     calls = []
     real = kernels.hyp2f1
     monkeypatch.setattr(kernels, "hyp2f1", lambda *args: calls.append(args) or real(*args))
-    with pytest.raises(ValueError, match="finite"):
-        kernel_K(RATIO_SQUARE, s, y)
-    with pytest.raises(ValueError, match="finite"):
-        kernel_K(RATIO_SQUARE, s, y, CONFIG_TOL)
+    monkeypatch.setattr(quadrature, "integrate_2d", lambda *args: calls.append(args))
+    for route in (kernel_K, kernel_uv_form):
+        with pytest.raises(ValueError, match="finite"):
+            route(RATIO_SQUARE, s, y)
+        with pytest.raises(ValueError, match="finite"):
+            route(RATIO_SQUARE, s, y, CONFIG_TOL)
     assert calls == []
 
 
