@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import hyp2f1
 
 from . import quadrature
@@ -128,15 +127,10 @@ def poisson_density(sing: Singularity, v, t, y):
     return V / (V * V + np.float_power(np.asarray(y, dtype=float) - U, 2.0))
 
 
-# kernel_K integrates in x = m - s on fixed Gauss-Legendre panels over [0, 40],
-# narrow where the weight e^{-2x} is large; each panel carries a 16- and a
-# 24-node rule on one node set.  Past x = 40 the weight is below e^-80.
+# kernel_K integrates in x = m - s over [0, 40], starting from panels that are
+# narrow where the weight e^{-2x} is large.  Past x = 40 the weight is below e^-80.
 _DIAG_EDGES = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0, 14.0, 22.0, 40.0])
 _DIAG_SPAN = float(_DIAG_EDGES[-1])
-_N16, _W16 = leggauss(16)
-_N24, _W24 = leggauss(24)
-_DIAG_NODES = np.concatenate((_N16, _N24))
-_EPS = float(np.finfo(float).eps)
 _KERNEL_MAX_EVALS = 200_000
 
 
@@ -154,12 +148,11 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
     ``z_m^gamma`` stays in the open upper half plane, so the hypergeometric
     argument never meets the cut ``[1, inf)``.
 
-    The integral runs in ``x = m - s`` on fixed Gauss-Legendre panels over
-    ``[0, 40]``.  A panel is bisected while its 16- and 24-node values
-    disagree by more than both its share (by width) of the target and its own
-    rounding floor; the target is ``max(rel_tol |K|, abs_tol)``, or the whole
-    rounding floor when no tolerance is given.  ``error_estimate`` is the sum of
-    the rule differences, the rounding floor and the tail past ``x = 40``.
+    The integral runs in ``x = m - s`` over ``[0, 40]``, from twelve panels
+    narrow near 0, on the bisection loop shared with
+    :func:`~leafcurrent.quadrature.integrate_1d` (``quadrature._bisect``): its
+    target is ``max(rel_tol |K|, abs_tol)``, or the rounding floor when no
+    tolerance is given, and the error estimate adds the tail past ``x = 40``.
 
     The floor is the integral of ``e^{2s-2m} (b |Phi| + |Phi/c|) / b``, the
     magnitudes before their imaginary parts cancel, times ``eps (64 + 4 gamma
@@ -171,9 +164,8 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
 
     Near ``gamma = 1`` the floor, not the rule, sets the bar: at
     ``lambda = 5+0.2i`` (``gamma = 1.013``) it is 6e-13 to 3.5e-12 of ``K``
-    on the default ``(s, y)`` grid.
-    ``hyp2f1`` is within 46 eps of ``mpmath`` there, and the cancellation of
-    the imaginary parts scales that by about 30.
+    on the default ``(s, y)`` grid.  ``hyp2f1`` is within 46 eps of ``mpmath``
+    there, and the cancellation of the imaginary parts scales that by about 30.
 
     An explicit ``tol`` raises :class:`QuadratureError` (with ``best``) when
     the error estimate exceeds its target or the evaluations exceed
@@ -194,57 +186,24 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
     front = -cmath.exp(1j * (1.0 - gamma) * theta) * (1.0 + 1.0 / (b * c)) / (gamma - 1.0)
     scale = (1.0 + 1.0 / (b * abs(c))) / (gamma - 1.0)
     turn = y * cmath.exp(-1j * gamma * theta)
-    evals = 0
 
-    def rule(lo, hi):
-        """24-node values, |24-node - 16-node| and rounding floors of the panels."""
-        nonlocal evals
-        half = 0.5 * (hi - lo)
-        x = (0.5 * (hi + lo))[:, None] + half[:, None] * _DIAG_NODES
-        evals += x.size
+    def integrand(centre, offset):
+        x = centre + offset
         r = (s + x) * radius
         hyper = hyp2f1(1.0, beta, 1.0 + beta, turn * r**-gamma)
         weight = np.exp(-2.0 * x) * r ** (1.0 - gamma)
-        f = weight * (front * hyper).imag
         # rounding floor in eps per unit of magnitude: scipy's hyp2f1 stays
         # within 46 eps of mpmath on the rays y z_m^-gamma sweeps, and the
         # double gamma's rounding (2 eps gamma, counted twice) is amplified
         # by |log |z_m|| + pi through |z_m|^{1-gamma} and the phases
         digits = 64.0 + 4.0 * gamma * (np.abs(np.log(r[:, 16:])) + math.pi)
-        size = weight[:, 16:] * np.abs(hyper[:, 16:]) * (scale * _EPS) * digits
-        if not (np.isfinite(f).all() and np.isfinite(size).all()):
-            raise ValueError("the kernel integrand is not finite on a quadrature panel")
-        coarse, fine = half * (f[:, :16] @ _W16), half * (f[:, 16:] @ _W24)
-        return fine, np.abs(fine - coarse), half * (size @ _W24)
+        size = weight[:, 16:] * np.abs(hyper[:, 16:]) * (scale * quadrature._EPS) * digits
+        return weight * (front * hyper).imag, size, x.size
 
-    budget = _KERNEL_MAX_EVALS if tol is None else tol.max_evals
-    lo, hi = _DIAG_EDGES[:-1], _DIAG_EDGES[1:]
-    panels = rule(lo, hi)
-    while True:
-        values, diffs, floors = panels
-        value = float(values.sum())
-        floor = float(floors.sum())
-        target = floor if tol is None else max(tol.rel_tol * abs(value), tol.abs_tol)
-        split = diffs > np.maximum(target * (hi - lo) / _DIAG_SPAN, floors)
-        if not split.any() or evals > budget:
-            break
-        mid = 0.5 * (lo[split] + hi[split])
-        child_lo, child_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-        children = rule(child_lo, child_hi)
-        # keep the panels in order of position, so the sums run left to right
-        order = np.argsort(np.concatenate((lo[~split], child_lo)), kind="stable")
-        lo = np.concatenate((lo[~split], child_lo))[order]
-        hi = np.concatenate((hi[~split], child_hi))[order]
-        panels = [np.concatenate((old[~split], new))[order] for old, new in zip(panels, children)]
     far = radius * (s + _DIAG_SPAN)
     tail = 0.5 * math.exp(-2.0 * _DIAG_SPAN) * scale * far ** (1.0 - gamma) / math.sin(gamma * theta)
-    error = float(diffs.sum()) + floor + tail
-    result = QuadResult(value, error, evals)
-    if evals > budget:
-        raise QuadratureError("evaluation budget exhausted", best=result)
-    if tol is not None and error > target:
-        raise QuadratureError(f"error estimate {error:.3e} exceeds the target {target:.3e}", best=result)
-    return result
+    budget = _KERNEL_MAX_EVALS if tol is None else tol.max_evals
+    return quadrature._bisect(integrand, _DIAG_EDGES, tol, budget, tail)
 
 
 def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None = None) -> float:
@@ -260,11 +219,17 @@ def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None 
     ``Tolerance(1e-9, 1e-11 * bound_envelope(s, y), 4_000_000)``; an explicit
     ``tol`` goes to the engine unchanged, and there the value is bit for bit
     that of ``kernel_K``'s retired 2D route.  ``s`` and ``y`` must be finite.
+
+    The engine's panels sit at absolute ``(t, v)``: past ``s = 1e7`` the route
+    silently misses its target or fails, so deeper ``s`` raises
+    :class:`ValueError` before any evaluation.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError("s must be positive and finite")
     if not math.isfinite(y):
         raise ValueError("y must be finite")
+    if s > 1e7:
+        raise ValueError(f"kernel_uv_form supports depths s <= 1e7, got s = {s:.6g}")
     a, b, gamma = sing.a, sing.b, sing.gamma
 
     def integrand(t, v):
@@ -283,7 +248,7 @@ def exp_moment_oracle(s0: float, tol: Tolerance | None = None) -> float:
     if s0 < 1.0:
         raise ValueError("s0 must be at least 1")
     tol = tol or Tolerance(rel_tol=1e-10, abs_tol=1e-12, max_evals=500_000)
-    return integrate_1d(lambda x: x * math.exp(2.0 * s0 - 2.0 * x), s0, math.inf, tol=tol).value
+    return integrate_1d(lambda x: x * np.exp(2.0 * s0 - 2.0 * x), s0, math.inf, tol=tol).value
 
 
 # ---------------------------------------------------------------------------

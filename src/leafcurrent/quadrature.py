@@ -2,10 +2,10 @@
 
 Two entry points:
 
-* :func:`integrate_1d` -- adaptive 1D integration on finite, half-infinite, or
-  full-line intervals, with caller-supplied break points (peaks, kinks).
-  It imports ``scipy.integrate`` on its first call, so importing the library
-  does not.
+* :func:`integrate_1d` -- adaptive 1D integration of a vectorized integrand on
+  finite, half-infinite, or full-line intervals, with caller-supplied break
+  points (peaks, kinks), on the 16/24-node Gauss-Legendre bisection that
+  :func:`~leafcurrent.kernels.kernel_K` runs on too.
 * :func:`integrate_2d` -- integration over the corner domain
   ``{(t, v) : min(t, v) >= s}`` for integrands that decay exponentially in
   ``min(t, v)`` and algebraically in ``max(t, v)``.  The domain is truncated so
@@ -81,70 +81,116 @@ class QuadratureError(RuntimeError):
         self.best = best
 
 
-def _as_tol(tol: Tolerance | None) -> Tolerance:
-    return tol if tol is not None else Tolerance()
+# Each 1D panel carries a 16- and a 24-node Gauss-Legendre rule on one node set.
+_N16, _W16 = leggauss(16)
+_N24, _W24 = leggauss(24)
+_NODES_1D = np.concatenate((_N16, _N24))
+_EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max)  # e^t overflows past it
+
+
+def _bisect(integrand, edges, tol: Tolerance | None, budget: int, tail: float = 0.0, settle: bool = False):
+    """Adaptive 16/24-node Gauss-Legendre bisection on the panels between ``edges``.
+
+    ``integrand(centre, offset)`` gets a stack of panels' nodes as centres,
+    shape ``(panels, 1)``, plus offsets, shape ``(panels, 40)`` with the 16-node
+    rule's first, and returns its values, the rounding magnitudes at the 24
+    nodes and its count of evaluations.  Each round bisects, in one call, the
+    panels whose ``|24 - 16|`` exceeds both their width share of the target
+    (``max(rel_tol |value|, abs_tol)``, or the rounding floor if ``tol`` is
+    None) and their own floor; with ``settle`` the rounds also end once the
+    error estimate, the differences plus the floor and ``tail``, meets the
+    target.  Panels stay in position order.  Non-finite values raise
+    :class:`ValueError`; a spent ``budget`` or missed ``tol`` raises
+    :class:`QuadratureError` carrying the result.
+    """
+    evals = 0
+
+    def rule(lo, hi):
+        nonlocal evals
+        half = 0.5 * (hi - lo)
+        f, size, count = integrand((0.5 * (hi + lo))[:, None], half[:, None] * _NODES_1D)
+        evals += count
+        if not (np.isfinite(f).all() and np.isfinite(size).all()):
+            raise ValueError("the integrand returned a non-finite value on a quadrature panel")
+        coarse, fine = half * (f[:, :16] @ _W16), half * (f[:, 16:] @ _W24)
+        return fine, np.abs(fine - coarse), half * (size @ _W24)
+
+    span = edges[-1] - edges[0]
+    lo, hi = edges[:-1], edges[1:]
+    panels = rule(lo, hi)
+    while True:
+        values, diffs, floors = panels
+        value = float(values.sum())
+        floor = float(floors.sum())
+        target = floor if tol is None else max(tol.rel_tol * abs(value), tol.abs_tol)
+        split = diffs > np.maximum(target * (hi - lo) / span, floors)
+        if not split.any() or evals > budget or (settle and float(diffs.sum()) + floor + tail <= target):
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        child_lo, child_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        children = rule(child_lo, child_hi)
+        order = np.argsort(np.concatenate((lo[~split], child_lo)), kind="stable")
+        lo = np.concatenate((lo[~split], child_lo))[order]
+        hi = np.concatenate((hi[~split], child_hi))[order]
+        panels = [np.concatenate((old[~split], new))[order] for old, new in zip(panels, children)]
+    error = float(diffs.sum()) + floor + tail
+    result = QuadResult(value, error, evals)
+    if evals > budget:
+        raise QuadratureError("evaluation budget exhausted", best=result)
+    if tol is not None and error > target:
+        raise QuadratureError(f"error estimate {error:.3e} exceeds the target {target:.3e}", best=result)
+    return result
 
 
 def integrate_1d(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: Tolerance | None = None,
     break_points: Sequence[float] = (),
 ) -> QuadResult:
-    """Integrate ``f`` on ``[a, b]`` (endpoints may be ``+-inf``).
+    """Integrate a vectorized ``f`` on ``[a, b]`` (endpoints may be ``+-inf``).
 
-    ``break_points`` are interior locations (peaks, kinks) at which the
-    interval is split before integrating; infinite intervals are handled by
-    QUADPACK's monotone change of variables onto a finite interval.
+    ``f`` is called on 1D arrays of nodes.  The interval is split at the
+    ``break_points`` inside it, and at 0 when both ends are infinite; piece
+    ``k`` is charted onto ``[k, k+1]``, affinely if finite and by ``x = c +-
+    expm1((1-w)/w)``, ``w in (0, 1]``, if it is ``[c, +-inf)``.  All pieces
+    share one 16/24-node Gauss-Legendre bisection from one panel each, until
+    the rule differences plus the rounding floor ``64 eps int|f|`` meet
+    ``max(rel_tol |value|, abs_tol)``; it is made for ``f`` smooth on each
+    piece, and does not resolve a singularity.  Nodes past the double range
+    count as 0 and are not passed to ``f``; ``f`` gets nodes up to ``|x| ~
+    1e308`` and must not overflow there.  ``evaluations`` counts the points
+    ``f`` received.  A non-finite value raises :class:`ValueError`; more than
+    ``max_evals`` evaluations, or a missed target, raise :class:`QuadratureError`.
     """
-    from scipy import integrate as _sci  # its only user; kept out of the library's import
-
-    tol = _as_tol(tol)
+    tol = tol or Tolerance()
     if not (b > a):
         raise ValueError("need b > a")
-    pts = sorted({float(p) for p in break_points if a < p < b})
-    edges = [a, *pts, b]
-    npieces = len(edges) - 1
-    limit = max(50, tol.max_evals // (21 * npieces))
+    zero = (0.0,) if math.isinf(a) and math.isinf(b) else ()
+    cuts = np.array([a, *sorted({float(p) for p in (*break_points, *zero) if a < p < b}), b])
+    lo, hi = cuts[:-1], cuts[1:]
+    tail = np.isinf(lo) | np.isinf(hi)
+    width = np.where(tail, 1.0, hi - lo)
 
-    count = [0]
+    def integrand(centre, offset):
+        k = np.broadcast_to(np.minimum(centre.astype(int), len(lo) - 1), offset.shape)
+        # each node's distances to the ends of its piece, exact differences of
+        # dyadic panel edges: the chart keeps every digit near both ends
+        left, right = (centre - k) + offset, (k + 1 - centre) - offset
+        t = np.divide(right, left, out=np.zeros(left.shape), where=tail[k])  # (1 - w)/w, w = left
+        inside = t < _LOG_MAX
+        k, left, right, t = k[inside], left[inside], right[inside], t[inside]
+        ends = np.where(np.isinf(lo[k]), hi[k] - np.expm1(t), lo[k] + np.expm1(t))
+        x = np.where(tail[k], ends, np.where(left <= right, lo[k] + left * width[k], hi[k] - right * width[k]))
+        # the tail Jacobian e^t / w^2 goes on in two steps: in one it may overflow
+        scaled = np.asarray(f(x), dtype=float) * np.where(tail[k], np.exp(t), width[k])
+        values = np.zeros(offset.shape)
+        values[inside] = scaled / np.where(tail[k], left * left, 1.0)
+        return values, (64.0 * _EPS) * np.abs(values[:, 16:]), x.size
 
-    def g(x: float) -> float:
-        count[0] += 1
-        return f(x)
-
-    total = 0.0
-    err = 0.0
-    warnings_: list[str] = []
-    hard_failures: list[str] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out = _sci.quad(
-            g,
-            lo,
-            hi,
-            epsabs=tol.abs_tol / npieces,
-            epsrel=tol.rel_tol,
-            limit=limit,
-            full_output=True,
-        )
-        val, abserr, info = out[0], out[1], out[2]
-        total += val
-        err += abserr
-        if len(out) > 3:
-            warnings_.append(str(out[3]))
-        if count[0] > tol.max_evals:
-            hard_failures.append("evaluation budget exhausted")
-            break
-    result = QuadResult(total, err, count[0])
-    if hard_failures:
-        raise QuadratureError("; ".join(hard_failures + warnings_), best=result)
-    if warnings_ and err > max(tol.abs_tol, tol.rel_tol * abs(total)):
-        # QUADPACK grumbled *and* the accumulated estimate genuinely misses
-        # the requested tolerance; a warning on a piece whose error is within
-        # budget (e.g. roundoff chatter on a denormal-range tail) is benign
-        raise QuadratureError("; ".join(warnings_), best=result)
-    return result
+    return _bisect(integrand, np.arange(len(lo) + 1.0), tol, tol.max_evals, settle=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +321,7 @@ def integrate_2d(
     all their children together.  Exceeding ``max_evals`` raises
     :class:`QuadratureError` carrying the current estimate.
     """
-    tol = _as_tol(tol)
+    tol = tol or Tolerance()
     if not s > 0.0:
         raise ValueError("need s > 0")
     evals = [0]

@@ -538,9 +538,8 @@ def test_module_entry_point_runs_the_cli(tmp_path) -> None:
 
 
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
-    # integrate_1d imports scipy.integrate on first call, and nothing in the
-    # library imports scipy.optimize: loading the CLI costs about 25 MB and
-    # 0.5 s less without them
+    # nothing in the library imports scipy.integrate or scipy.optimize:
+    # loading the CLI costs about 25 MB and 0.5 s less without them
     src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -551,6 +550,29 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_full_run_and_1d_quadratures_leave_scipy_integrate_unloaded(tmp_path) -> None:
+    # integrate_1d runs on the library's own panel loop, not QUADPACK: a whole
+    # default `leafcurrent all` run, the boundary integrability functional and
+    # the Poisson integral never load scipy.integrate
+    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys; import numpy as np; from leafcurrent.cli import run_command; "
+        "from leafcurrent.currents import builtin_currents, integrability_mass, poisson_eval; "
+        "from leafcurrent.geometry import normalize_singularity; "
+        f"code = run_command(['all', '--out', {str(tmp_path / 'all')!r}]); "
+        "sing = normalize_singularity(1, 1j); "
+        "mass = integrability_mass(builtin_currents(sing)['cauchy'], sing).chi_mass; "
+        "one = poisson_eval(np.ones_like, 0.5, 1.0).value; "
+        "print(code, mass > 0.0, abs(one - 1.0) < 1e-9, 'scipy.integrate' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 True True False"
+    assert (tmp_path / "all" / "oracle.csv").exists()
 
 
 def test_kernel_cross_check_leaves_scipy_integrate_and_optimize_unloaded() -> None:

@@ -13,6 +13,7 @@ Frozen oracle values:
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from leafcurrent.currents import (
     zero_profile,
 )
 from leafcurrent.geometry import normalize_singularity
+from leafcurrent.kernels import exp_moment_oracle
 
 S2 = normalize_singularity(1, 1j)
 S4 = normalize_singularity(1, -1 + 1j)
@@ -73,6 +75,19 @@ def test_closed_form_extension_matches_poisson_integral(factory, kwargs):
             prof.evaluate, U, V, support_bound=prof.support_bound, break_points=prof.break_points
         ).value
         assert closed == pytest.approx(direct, abs=1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("U, V", [(100.0, 1e-3), (0.3, 1e-6), (-1.0, 1e-6), (7.0, 1e-6), (-30.0, 1e-6)])
+def test_poisson_integral_resolves_a_narrow_kernel(U, V):
+    # a Poisson kernel far narrower than its distance to 0: the nodes must
+    # keep their digits next to the break points U -+ V, and the bisection
+    # must stop once the estimate meets the target instead of splitting
+    # panels whose rule difference is rounding noise
+    prof = cauchy_profile()
+    res = poisson_eval(prof.evaluate, U, V, break_points=prof.break_points)
+    exact = prof.extension(U, V)
+    assert res.evaluations < 100_000
+    assert abs(res.value - exact) <= res.error_estimate <= 1e-10 * exact
 
 
 def test_cauchy_extension_semigroup_form():
@@ -245,6 +260,20 @@ def test_chi_mass_algebraic_closed_forms():
     rep = integrability_mass(default_current(S4, algebraic_profile(exponent=0.3)), S4)
     assert rep.converged
     assert rep.chi_mass == pytest.approx(40.0, abs=1e-7)
+
+
+def test_one_dimensional_quadratures_raise_no_warnings():
+    # the tail chart sends nodes up to |y| ~ 1e308; no integrand of the
+    # library may overflow there, and nodes past the double range are dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poisson_eval(ones, 0.3, 0.7).value == pytest.approx(1.0, abs=1e-9)
+        assert poisson_eval(cauchy_profile().evaluate, 0.5, 2.0).value == pytest.approx(
+            cauchy_profile().extension(0.5, 2.0), abs=1e-9
+        )
+        for name in ("triangle", "cauchy", "algebraic"):
+            assert integrability_mass(builtin_currents(S4)[name], S4).converged
+        assert exp_moment_oracle(3.0) == pytest.approx(1.75, abs=1e-12)
 
 
 def test_chi_mass_zero_current():

@@ -373,6 +373,23 @@ def test_kernel_requires_positive_start():
         kernel_uv_form(RATIO_SQUARE, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("s", [1e8, 1e17, 1e120])
+def test_kernel_uv_form_rejects_depths_past_its_panels(monkeypatch, s):
+    # the corner engine's panels sit at absolute (t, v): past s = 1e7 the
+    # cross-check misses its target, runs out of budget or returns a wrong
+    # value, so it refuses before evaluating anything
+    monkeypatch.setattr(quadrature, "integrate_2d", lambda *args: pytest.fail("integrate_2d called"))
+    for tol in (None, CONFIG_TOL):
+        with pytest.raises(ValueError, match="s <= 1e7"):
+            kernel_uv_form(RATIO_SQUARE, s, 0.0, tol)
+
+
+@pytest.mark.parametrize("sing", [RATIO_SQUARE, RATIO_STEEP])
+def test_kernel_uv_form_holds_at_its_deepest_depth(sing):
+    panel = kernel_K(sing, 1e7, 0.0).value
+    assert kernel_uv_form(sing, 1e7, 0.0) == pytest.approx(panel, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("s, y", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
 def test_kernel_rejects_non_finite_inputs(monkeypatch, s, y):
     # rejected before the integrand is evaluated: unchecked, an infinite

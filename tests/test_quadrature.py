@@ -12,6 +12,7 @@ Every expected value below has an independent derivation:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,19 +34,22 @@ EXP_DECAY = DecayDescriptor(exp_rate=1.5, alg_rate=2.5)
 
 @pytest.mark.parametrize("s0", [1.0, 2.0, 10.0])
 def test_exponential_moment_closed_form(s0):
-    res = integrate_1d(lambda x: x * math.exp(2 * s0 - 2 * x), s0, math.inf, tol=TIGHT)
+    res = integrate_1d(lambda x: x * np.exp(2 * s0 - 2 * x), s0, math.inf, tol=TIGHT)
     assert res.value == pytest.approx(s0 / 2 + 0.25, abs=1e-8)
     assert res.error_estimate < 1e-8
+    assert abs(res.value - (s0 / 2 + 0.25)) <= res.error_estimate
 
 
 def test_sine_arch():
-    res = integrate_1d(math.sin, 0.0, math.pi, tol=TIGHT)
+    res = integrate_1d(np.sin, 0.0, math.pi, tol=TIGHT)
     assert res.value == pytest.approx(2.0, abs=1e-12)
+    assert abs(res.value - 2.0) <= res.error_estimate
 
 
 def test_break_points_kink():
-    res = integrate_1d(abs, -1.0, 1.0, tol=TIGHT, break_points=[0.0])
+    res = integrate_1d(np.abs, -1.0, 1.0, tol=TIGHT, break_points=[0.0])
     assert res.value == pytest.approx(1.0, abs=1e-12)
+    assert abs(res.value - 1.0) <= res.error_estimate
 
 
 def test_cauchy_density_normalizes():
@@ -53,10 +57,57 @@ def test_cauchy_density_normalizes():
     U, V = 0.7, 2.3
 
     def f(y):
-        return V / (V * V + (y - U) ** 2) / math.pi
+        r = np.hypot(y - U, V)
+        return (V / r) / r / math.pi
 
     res = integrate_1d(f, -math.inf, math.inf, tol=TIGHT, break_points=[U])
     assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert abs(res.value - 1.0) <= res.error_estimate
+
+
+@pytest.mark.parametrize("a, b, sign", [(0.0, math.inf, 1.0), (-math.inf, 0.0, -1.0)])
+def test_slow_algebraic_tail(a, b, sign):
+    # int_0^inf (1 + x)^-1.05 dx = 1/0.05: the tail chart x = expm1((1-w)/w)
+    # still resolves a tail this slow, on either half-line
+    res = integrate_1d(lambda x: (1.0 + sign * x) ** -1.05, a, b, tol=TIGHT)
+    assert abs(res.value - 20.0) <= res.error_estimate <= 1e-9
+
+
+def test_1d_evaluations_count_the_points_received():
+    received = []
+
+    def f(x):
+        received.append(x)
+        return (1.0 + x) ** -1.05
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_1d(f, 0.0, math.inf, tol=TIGHT)
+    points = np.concatenate(received)
+    assert res.evaluations == points.size
+    # the tail chart reaches far up the double range; the nodes past it were
+    # not passed on, so the count is not a whole number of 40-node panels
+    assert np.isfinite(points).all() and points.max() > 1e250
+    assert res.evaluations % 40 != 0
+
+
+def test_1d_budget_exhaustion_raises_with_best_estimate():
+    def f(x):
+        return 1e-3 / (1e-6 + (x - 0.3) ** 2)
+
+    with pytest.raises(QuadratureError, match="budget") as exc:
+        integrate_1d(f, 0.0, 1.0, tol=Tolerance(rel_tol=1e-10, abs_tol=1e-12, max_evals=100))
+    best = exc.value.best
+    assert best.evaluations > 100
+    assert best.value > 0.0 and best.error_estimate > 0.0
+
+
+def test_1d_nan_integrand_fails_fast():
+    def f(x):
+        return np.where((x > 0.3) & (x < 0.4), np.nan, np.sin(x))
+
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate_1d(f, 0.0, 1.0, tol=TIGHT)
 
 
 def test_2d_exponential_closed_form():
