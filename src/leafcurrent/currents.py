@@ -122,8 +122,12 @@ def poisson_eval(
         r = np.hypot(y - U, V)  # (y - U)^2 would overflow on the far tail nodes
         return H(y) * (V / r) / r / math.pi
 
-    bound = math.inf if support_bound is None else support_bound
-    return integrate_1d(integrand, -bound, bound, tol=tol, break_points=[U - V, U, U + V, *break_points])
+    if support_bound is None:
+        lo, hi = -math.inf, math.inf
+    else:
+        lo, hi = -support_bound, support_bound
+    breaks = [U - V, U, U + V, *break_points]
+    return integrate_1d(integrand, lo, hi, tol=tol, break_points=breaks)
 
 
 def profile_extension(profile: BoundaryProfile, U, V, *, tol: Tolerance | None = None):
@@ -134,9 +138,17 @@ def profile_extension(profile: BoundaryProfile, U, V, *, tol: Tolerance | None =
     """
     if profile.extension is not None:
         return profile.extension(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
-    options = dict(tol=tol, support_bound=profile.support_bound, break_points=profile.break_points)
-    point = np.vectorize(lambda u, v: poisson_eval(profile.evaluate, u, v, **options).value, otypes=[float])
-    out = point(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
+    Ub, Vb = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
+    out = np.empty(Ub.shape, dtype=float)
+    for idx in np.ndindex(Ub.shape):
+        out[idx] = poisson_eval(
+            profile.evaluate,
+            float(Ub[idx]),
+            float(Vb[idx]),
+            tol=tol,
+            support_bound=profile.support_bound,
+            break_points=profile.break_points,
+        ).value
     return float(out) if out.ndim == 0 else out
 
 
@@ -420,15 +432,19 @@ def integrability_mass(
     converged = True
     used_window: float | None = None
     for prof, w in zip(spec.profiles, spec.weights):
-        divergent = prof.support_bound is None and not prof.decay_exponent > inv_gamma
-        if divergent:
-            converged, used_window = False, window
-        bound = window if divergent else prof.support_bound or math.inf
 
-        def density(y, H=prof.evaluate):
-            return H(y) * chi_weight(sing, y)
+        def integrand(y, _p=prof):
+            return _p.evaluate(y) * chi_weight(sing, y)
 
-        res = integrate_1d(density, -bound, bound, tol=tol, break_points=[0.0, *prof.break_points])
+        if prof.support_bound is not None:
+            lo, hi = -prof.support_bound, prof.support_bound
+        elif prof.decay_exponent > inv_gamma:
+            lo, hi = -math.inf, math.inf
+        else:
+            lo, hi = -window, window
+            converged = False
+            used_window = window
+        res = integrate_1d(integrand, lo, hi, tol=tol, break_points=[0.0, *prof.break_points])
         per_leaf.append(w * res.value)
         err_total += w * res.error_estimate
     return IntegrabilityReport(

@@ -164,8 +164,9 @@ def kernel_K(sing: Singularity, s: float, y: float, tol: Tolerance | None = None
 
     Near ``gamma = 1`` the floor, not the rule, sets the bar: at
     ``lambda = 5+0.2i`` (``gamma = 1.013``) it is 6e-13 to 3.5e-12 of ``K``
-    on the default ``(s, y)`` grid.  ``hyp2f1`` is within 46 eps of ``mpmath``
-    there, and the cancellation of the imaginary parts scales that by about 30.
+    on the default ``(s, y)`` grid.
+    ``hyp2f1`` is within 46 eps of ``mpmath`` there, and the cancellation of
+    the imaginary parts scales that by about 30.
 
     An explicit ``tol`` raises :class:`QuadratureError` (with ``best``) when
     the error estimate exceeds its target or the evaluations exceed
@@ -222,7 +223,9 @@ def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None 
 
     The engine's panels sit at absolute ``(t, v)``: past ``s = 1e7`` the route
     silently misses its target or fails, so deeper ``s`` raises
-    :class:`ValueError` before any evaluation.
+    :class:`ValueError` before any evaluation.  At ``s = 1e7`` it agrees with
+    :func:`kernel_K` to 1.8e-10 on the default ``yGrid`` at ``lambda = i, 1+i,
+    -1+i, 5+0.2i, 0.3+2i``; other ratios were not measured there.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise ValueError("s must be positive and finite")

@@ -89,7 +89,7 @@ _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)  # e^t overflows past it
 
 
-def _bisect(integrand, edges, tol: Tolerance | None, budget: int, tail: float = 0.0, settle: bool = False):
+def _bisect(integrand, edges, tol: Tolerance | None, budget: int, tail=0.0, settle=False, evals=0):
     """Adaptive 16/24-node Gauss-Legendre bisection on the panels between ``edges``.
 
     ``integrand(centre, offset)`` gets a stack of panels' nodes as centres,
@@ -100,11 +100,12 @@ def _bisect(integrand, edges, tol: Tolerance | None, budget: int, tail: float = 
     (``max(rel_tol |value|, abs_tol)``, or the rounding floor if ``tol`` is
     None) and their own floor; with ``settle`` the rounds also end once the
     error estimate, the differences plus the floor and ``tail``, meets the
-    target.  Panels stay in position order.  Non-finite values raise
-    :class:`ValueError`; a spent ``budget`` or missed ``tol`` raises
-    :class:`QuadratureError` carrying the result.
+    target (:func:`~leafcurrent.kernels.kernel_K` leaves it off: with it, 11
+    of its default-grid cases would stop a round early).  Panels stay in
+    position order.  ``evals`` counts the evaluations made before the loop.
+    Non-finite values raise :class:`ValueError`; a spent ``budget`` or missed
+    ``tol`` raises :class:`QuadratureError` carrying the result.
     """
-    evals = 0
 
     def rule(lo, hi):
         nonlocal evals
@@ -159,11 +160,16 @@ def integrate_1d(
     share one 16/24-node Gauss-Legendre bisection from one panel each, until
     the rule differences plus the rounding floor ``64 eps int|f|`` meet
     ``max(rel_tol |value|, abs_tol)``; it is made for ``f`` smooth on each
-    piece, and does not resolve a singularity.  Nodes past the double range
-    count as 0 and are not passed to ``f``; ``f`` gets nodes up to ``|x| ~
-    1e308`` and must not overflow there.  ``evaluations`` counts the points
-    ``f`` received.  A non-finite value raises :class:`ValueError`; more than
-    ``max_evals`` evaluations, or a missed target, raise :class:`QuadratureError`.
+    piece, and does not resolve a singularity.  Nodes past the double range,
+    ``(1-w)/w >= log(DBL_MAX)``, count as 0 and are not passed to ``f``; the
+    error estimate adds a bound on the mass they drop, ``(1 + log DBL_MAX)
+    |f| |x - c|`` at ``|x - c| = e^-4 DBL_MAX``, which holds for tails that
+    decay at least like ``|x|^-1.0015``; a slower tail raises
+    :class:`QuadratureError` once that bound passes the target.  ``f`` gets
+    nodes up to ``|x| ~ 1e308`` and must not overflow there.  ``evaluations``
+    counts the points ``f`` received.  A non-finite value raises
+    :class:`ValueError`; more than ``max_evals`` evaluations, or a missed
+    target, raise :class:`QuadratureError`.
     """
     tol = tol or Tolerance()
     if not (b > a):
@@ -190,7 +196,15 @@ def integrate_1d(
         values[inside] = scaled / np.where(tail[k], left * left, 1.0)
         return values, (64.0 * _EPS) * np.abs(values[:, 16:]), x.size
 
-    return _bisect(integrand, np.arange(len(lo) + 1.0), tol, tol.max_evals, settle=True)
+    # a tail like |x|^-(1+g) has the density |f| e^t = e^{-g t} in t = log(1+|x-c|),
+    # so it drops e^{-g T}/g past T = log DBL_MAX: at most (1 + T) times the
+    # density at T - 4 when g >= 1/(1 + T)
+    far = np.where(np.isinf(lo), hi - math.expm1(_LOG_MAX - 4.0), lo + math.expm1(_LOG_MAX - 4.0))[tail]
+    edge = np.abs(np.asarray(f(far), dtype=float)) if far.size else far
+    if not np.isfinite(edge).all():
+        raise ValueError("the integrand returned a non-finite value at the tail chart's cut")
+    dropped = float(edge.sum()) * math.exp(_LOG_MAX - 4.0) * (1.0 + _LOG_MAX)
+    return _bisect(integrand, np.arange(len(lo) + 1.0), tol, tol.max_evals, dropped, settle=True, evals=far.size)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from leafcurrent.currents import (
 )
 from leafcurrent.geometry import normalize_singularity
 from leafcurrent.kernels import exp_moment_oracle
+from leafcurrent.quadrature import QuadratureError
 
 S2 = normalize_singularity(1, 1j)
 S4 = normalize_singularity(1, -1 + 1j)
@@ -260,6 +261,14 @@ def test_chi_mass_algebraic_closed_forms():
     rep = integrability_mass(default_current(S4, algebraic_profile(exponent=0.3)), S4)
     assert rep.converged
     assert rep.chi_mass == pytest.approx(40.0, abs=1e-7)
+
+
+def test_chi_mass_slow_tail_fails_loudly():
+    # exponent 1/gamma + 0.03 leaves 2 DBL_MAX^-0.03 / 0.03 = 3.8e-8 of the mass
+    # 2/0.03 past the double range, above the default target of 6.7e-9
+    with pytest.raises(QuadratureError) as exc:
+        integrability_mass(default_current(S4, algebraic_profile(exponent=1.0 / S4.gamma + 0.03)), S4)
+    assert abs(exc.value.best.value - 2.0 / 0.03) <= exc.value.best.error_estimate
 
 
 def test_one_dimensional_quadratures_raise_no_warnings():

@@ -384,10 +384,12 @@ def test_kernel_uv_form_rejects_depths_past_its_panels(monkeypatch, s):
             kernel_uv_form(RATIO_SQUARE, s, 0.0, tol)
 
 
-@pytest.mark.parametrize("sing", [RATIO_SQUARE, RATIO_STEEP])
-def test_kernel_uv_form_holds_at_its_deepest_depth(sing):
-    panel = kernel_K(sing, 1e7, 0.0).value
-    assert kernel_uv_form(sing, 1e7, 0.0) == pytest.approx(panel, rel=1e-9, abs=0.0)
+@pytest.mark.parametrize("ratio", [1j, 1 + 1j, -1 + 1j, 5 + 0.2j, 0.3 + 2j])
+def test_kernel_uv_form_holds_at_its_deepest_depth(ratio):
+    sing = normalize_singularity(1, ratio)
+    for y in (0.0, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0, 1e3, -1e3, 1e4, -1e4):
+        panel = kernel_K(sing, 1e7, y).value
+        assert kernel_uv_form(sing, 1e7, y) == pytest.approx(panel, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("s, y", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])

@@ -73,6 +73,19 @@ def test_slow_algebraic_tail(a, b, sign):
     assert abs(res.value - 20.0) <= res.error_estimate <= 1e-9
 
 
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-6, 1e-4])
+def test_tail_mass_past_the_double_range_is_in_the_estimate(rel_tol):
+    # int_0^inf (1 + x)^-1.03 dx = 1/0.03, of which 1.9e-8 lies past x = DBL_MAX
+    # where the chart drops its nodes: the estimate covers it, and a target
+    # below it raises (1e-8 relative is 3.3e-7 here)
+    tol = Tolerance(rel_tol=rel_tol, abs_tol=1e-10)
+    try:
+        res = integrate_1d(lambda x: (1.0 + x) ** -1.03, 0.0, math.inf, tol=tol)
+    except QuadratureError as exc:
+        res = exc.best
+    assert abs(res.value - 1.0 / 0.03) <= res.error_estimate
+
+
 def test_1d_evaluations_count_the_points_received():
     received = []
 
