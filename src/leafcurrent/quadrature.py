@@ -89,7 +89,7 @@ _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)  # e^t overflows past it
 
 
-def _bisect(integrand, edges, tol: Tolerance | None, budget: int, tail=0.0, settle=False, evals=0):
+def _bisect(integrand, edges, tol: Tolerance | None, budget: int, tail: float = 0.0, settle=False, evals: int = 0):
     """Adaptive 16/24-node Gauss-Legendre bisection on the panels between ``edges``.
 
     ``integrand(centre, offset)`` gets a stack of panels' nodes as centres,
