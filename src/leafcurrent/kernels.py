@@ -18,6 +18,9 @@ integral itself on the corner engine
     ``(1 + |y|)^{1/gamma - 1} min(1, ((1 + |y|)^{1/gamma} / s)^{gamma - 1})``
 
 and ``bound ratio = K / envelope`` is the empirical constant of the estimate.
+The module attribute ``hyp2f1`` is :func:`~leafcurrent.currents._hyp2f1`,
+which imports ``scipy.special`` on its first call: only :func:`kernel_K` loads
+it, and the regime machinery below never does.
 
 The regime machinery quantifies the Poisson density ``V/(V^2 + (y-U)^2)``
 against elementary comparators on five hypothesis sets parametrized by
@@ -33,9 +36,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from . import quadrature
+from .currents import _hyp2f1 as hyp2f1
 from .geometry import Singularity, power_polar, power_polar_uv
 from .quadrature import QuadratureError, QuadResult, Tolerance, integrate_1d
 
@@ -251,7 +254,9 @@ def exp_moment_oracle(s0: float, tol: Tolerance | None = None) -> float:
     if s0 < 1.0:
         raise ValueError("s0 must be at least 1")
     tol = tol or Tolerance(rel_tol=1e-10, abs_tol=1e-12, max_evals=500_000)
-    return integrate_1d(lambda x: x * np.exp(2.0 * s0 - 2.0 * x), s0, math.inf, tol=tol).value
+    # e^{-1600} and e^{2 s0 - 2x} are both 0 wherever the clamp acts, and the
+    # clamp keeps 2x from overflowing at the tail chart's farthest nodes
+    return integrate_1d(lambda x: x * np.exp(2.0 * np.maximum(s0 - x, -800.0)), s0, math.inf, tol=tol).value
 
 
 # ---------------------------------------------------------------------------

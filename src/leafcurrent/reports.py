@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from importlib import metadata as _importlib_metadata
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,10 +36,10 @@ __all__ = [
 
 
 def tool_version() -> str:
-    try:
-        return _importlib_metadata.version("leafcurrent")
-    except _importlib_metadata.PackageNotFoundError:  # pragma: no cover
-        return "0+unknown"
+    """``leafcurrent.__version__``: the same in a source checkout as in an installed copy."""
+    from . import __version__  # at call time: the package imports this module first
+
+    return __version__
 
 
 @dataclass(frozen=True)

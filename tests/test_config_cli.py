@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -460,7 +461,14 @@ def test_metadata_hash_matches_resolved_config(tmp_path, capsys) -> None:
     assert meta["configHash"] == config_hash(cfg.resolved)
     assert meta["seed"] == cfg.seed
     assert meta["command"] == "oracle"
-    assert meta["toolVersion"]
+    assert meta["toolVersion"] == leafcurrent.__version__
+
+
+def test_pyproject_version_is_the_package_version() -> None:
+    # a plain text read: tomllib is missing on Python 3.10, which the package supports
+    pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.MULTILINE) == [leafcurrent.__version__]
 
 
 def test_config_errors_exit_2(tmp_path, capsys) -> None:
@@ -522,99 +530,128 @@ def test_package_exports_the_union_of_module_exports() -> None:
     assert set(leafcurrent.__all__) == {"__version__"} | union
 
 
+def _checkout_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_runs_the_cli(tmp_path) -> None:
     # `python -m leafcurrent` must run the CLI, not import it and exit silently
-    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "leafcurrent", "oracle", "--format", "json", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_checkout_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((out / "report.json").read_text())
     assert [t["name"] for t in doc["tables"]] == ["oracle"]
 
 
-def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
-    # nothing in the library imports scipy.integrate or scipy.optimize:
-    # loading the CLI costs about 25 MB and 0.5 s less without them
-    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = (
-        "import sys, leafcurrent.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+_OPTIONAL_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special")
+
+
+def _loaded_after(snippet: str, timeout: float = 120) -> tuple[str, set[str]]:
+    """Run ``snippet`` in a fresh interpreter; return the last line it printed
+    and which of ``_OPTIONAL_SCIPY`` it left in ``sys.modules``."""
+    probe = f"{snippet}\nimport json, sys\nprint(json.dumps([m for m in {_OPTIONAL_SCIPY!r} if m in sys.modules]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_checkout_env(), timeout=timeout
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.strip().splitlines()
+    return (lines[-2] if len(lines) > 1 else ""), set(json.loads(lines[-1]))
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
+    # nothing in the library imports scipy.integrate or scipy.optimize, and
+    # scipy.special waits for the first hypergeometric value: on a 2-core
+    # host `import numpy, scipy, leafcurrent.cli` takes 0.2-0.3 s and 40 MB,
+    # and importing the three modules too adds about 0.45 s and 43 MB
+    # (scipy.special alone 0.15-0.2 s and 17 MB)
+    assert _loaded_after("import leafcurrent.cli") == ("", set())
 
 
 def test_full_run_and_1d_quadratures_leave_scipy_integrate_unloaded(tmp_path) -> None:
     # integrate_1d runs on the library's own panel loop, not QUADPACK: a whole
     # default `leafcurrent all` run, the boundary integrability functional and
-    # the Poisson integral never load scipy.integrate
-    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = (
-        "import sys; import numpy as np; from leafcurrent.cli import run_command; "
+    # the Poisson integral never load scipy.integrate; the kernel and the
+    # algebraic current load scipy.special
+    printed, loaded = _loaded_after(
+        "import numpy as np; from leafcurrent.cli import run_command; "
         "from leafcurrent.currents import builtin_currents, integrability_mass, poisson_eval; "
         "from leafcurrent.geometry import normalize_singularity; "
         f"code = run_command(['all', '--out', {str(tmp_path / 'all')!r}]); "
         "sing = normalize_singularity(1, 1j); "
         "mass = integrability_mass(builtin_currents(sing)['cauchy'], sing).chi_mass; "
         "one = poisson_eval(np.ones_like, 0.5, 1.0).value; "
-        "print(code, mass > 0.0, abs(one - 1.0) < 1e-9, 'scipy.integrate' in sys.modules)"
+        "print(code, mass > 0.0, abs(one - 1.0) < 1e-9)",
+        timeout=300,
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "0 True True False"
+    assert printed == "0 True True"
+    assert loaded == {"scipy.special"}
     assert (tmp_path / "all" / "oracle.csv").exists()
 
 
 def test_kernel_cross_check_leaves_scipy_integrate_and_optimize_unloaded() -> None:
-    # kernel_uv_form is one integrate_2d call: no QUADPACK, no root finder
-    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    probe = (
-        "import sys; from leafcurrent.geometry import normalize_singularity; "
+    # kernel_uv_form is one integrate_2d call: no QUADPACK, no root finder,
+    # and no hypergeometric function
+    printed, loaded = _loaded_after(
+        "from leafcurrent.geometry import normalize_singularity; "
         "from leafcurrent.kernels import kernel_uv_form; "
-        "print(kernel_uv_form(normalize_singularity(1, 1j), 2.0, 10.0) > 0.0, "
-        "sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "print(kernel_uv_form(normalize_singularity(1, 1j), 2.0, 10.0) > 0.0)"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True []"
+    assert (printed, loaded) == ("True", set())
+
+
+def _stage_runs(stages: dict[str, tuple[str, dict]], tmp_path) -> str:
+    """A probe snippet that runs each CLI stage on its config and prints the exit codes."""
+    runs = []
+    for name, (command, doc) in stages.items():
+        config = _write(tmp_path / f"{name}.json", doc)
+        runs.append(f"run_command([{command!r}, '--config', {config!r}, '--out', {str(tmp_path / name)!r}])")
+    return f"from leafcurrent.cli import run_command; print([{', '.join(runs)}])"
 
 
 def test_leaf_statistics_stages_leave_scipy_integrate_and_optimize_unloaded(tmp_path) -> None:
     # M_R is a closed form and rho_solver is the library's own: running
-    # regimes and recurrence imports neither module
-    src = str(pathlib.Path(leafcurrent.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    config = _write(
-        tmp_path / "c.json",
-        {
-            "regimes": {"sampleCount": 200},
-            "grids": {"rGrid": [2.0**-7], "RGrid": [5.0, 20.0]},
-            "recurrence": {"nT": 16, "nTheta": 256, "horizon": 8.0},
-        },
-    )
-    probe = (
-        "import sys; from leafcurrent.cli import run_command; "
-        f"codes = [run_command([cmd, '--config', {config!r}, '--out', {str(tmp_path)!r} + '/' + cmd]) "
-        "for cmd in ('regimes', 'recurrence')]; "
-        "print(codes, sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0] []"
+    # regimes and recurrence imports none of the three modules
+    doc = {
+        "regimes": {"sampleCount": 200},
+        "grids": {"rGrid": [2.0**-7], "RGrid": [5.0, 20.0]},
+        "recurrence": {"nT": 16, "nTheta": 256, "horizon": 8.0},
+    }
+    snippet = _stage_runs({"regimes": ("regimes", doc), "recurrence": ("recurrence", doc)}, tmp_path)
+    assert _loaded_after(snippet) == ("[0, 0]", set())
     assert (tmp_path / "recurrence" / "recurrence_horizon.csv").exists()
+
+
+def test_closed_form_profiles_leave_scipy_special_unloaded(tmp_path) -> None:
+    # the Cauchy and triangle extensions and the oracle need no
+    # hypergeometric function
+    small = {"singularity": [[[1, 0], [0, 1]]], "grids": {"rGrid": [2.0**-2]}}
+    snippet = _stage_runs(
+        {
+            "cauchy": ("profile", {**small, "current": "cauchy"}),
+            "triangle": ("profile", {**small, "current": "triangle"}),
+            "oracle": ("oracle", small),
+        },
+        tmp_path,
+    )
+    assert _loaded_after(snippet) == ("[0, 0, 0]", set())
+    assert (tmp_path / "triangle" / "profile_triangle.csv").exists()
+
+
+def test_kernel_and_algebraic_extension_load_scipy_special(tmp_path) -> None:
+    # each route to hyp2f1, in its own interpreter, imports scipy.special
+    doc = {"singularity": [[[1, 0], [0, 1]]], "grids": {"sGrid": [1.0], "yGrid": [0.0, 10.0]}}
+    snippet = _stage_runs({"kernel": ("kernel-bound", doc)}, tmp_path)
+    assert _loaded_after(snippet) == ("[0]", {"scipy.special"})
+    printed, loaded = _loaded_after(
+        "from leafcurrent.currents import algebraic_profile, profile_extension; "
+        "print(profile_extension(algebraic_profile(), 0.5, 1.0) > 0.0)"
+    )
+    assert (printed, loaded) == ("True", {"scipy.special"})
 
 
 def test_regimes_stage_warns_when_the_boundary_strip_has_no_crossing(tmp_path, capsys) -> None:

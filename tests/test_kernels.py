@@ -21,6 +21,7 @@ Oracles used here, in order of authority:
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -47,7 +48,7 @@ from leafcurrent.kernels import (
     rho_solver,
     scale_factor,
 )
-from leafcurrent.quadrature import QuadratureError, QuadResult, Tolerance
+from leafcurrent.quadrature import QuadratureError, QuadResult, Tolerance, integrate_1d
 
 RATIO_SQUARE = normalize_singularity(1, 1j)  # gamma = 2
 RATIO_SHALLOW = normalize_singularity(1, 1 + 1j)  # gamma = 4/3
@@ -75,6 +76,20 @@ def test_exp_moment_oracle_closed_form():
 def test_exp_moment_oracle_rejects_small_start():
     with pytest.raises(ValueError):
         exp_moment_oracle(0.5)
+
+
+def test_exp_moment_oracle_integrand_stays_finite_at_the_double_range(monkeypatch):
+    # integrate_1d's tail chart may hand the integrand nodes up to ~1e308,
+    # where 2x overflows; elsewhere the integrand keeps its bits
+    seen = []
+    monkeypatch.setattr(kernels, "integrate_1d", lambda f, *args, **kw: seen.append(f) or integrate_1d(f, *args, **kw))
+    for s0 in (1.0, 37.5):
+        exp_moment_oracle(s0)
+        x = s0 + np.linspace(0.0, 1000.0, 4001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert seen[-1](np.array([1e308, np.finfo(float).max])).tolist() == [0.0, 0.0]
+            assert np.array_equal(seen[-1](x), x * np.exp(2.0 * s0 - 2.0 * x))
 
 
 def test_kernel_matches_exponential_integral():
