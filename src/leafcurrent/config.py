@@ -22,9 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Any, Mapping
-
-import jsonschema
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .currents import (
     CurrentSpec,
@@ -38,6 +36,9 @@ from .currents import (
 from .geometry import NonHyperbolicError, Singularity, normalize_singularity
 from .mass import _check_radius
 from .quadrature import Tolerance
+
+if TYPE_CHECKING:
+    import jsonschema
 
 __all__ = [
     "ConfigError",
@@ -232,6 +233,10 @@ class ExperimentConfig:
 
 
 def _validate_schema(doc: Mapping) -> None:
+    # imported on the first validation: a process that never parses a
+    # config does not load it
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(schema_document())
     errors = list(validator.iter_errors(doc))
     if errors:

@@ -245,8 +245,7 @@ def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None 
 
     if tol is None:
         tol = Tolerance(rel_tol=1e-9, abs_tol=1e-11 * bound_envelope(sing, s, y), max_evals=4_000_000)
-    decay = quadrature.DecayDescriptor(exp_rate=1.5, alg_rate=gamma + 1.0)
-    return quadrature.integrate_2d(integrand, s, decay, tol).value
+    return quadrature.integrate_2d(integrand, s, gamma + 1.0, tol).value
 
 
 def exp_moment_oracle(s0: float, tol: Tolerance | None = None) -> float:
@@ -664,18 +663,10 @@ class KernelReport:
         return tuple(c for c in self.cells if not c.ok)
 
 
-def _refine_s(s_grid: list[float]) -> list[float]:
-    """Insert geometric midpoints between consecutive s values."""
-    out = list(s_grid)
-    for a, b in zip(s_grid, s_grid[1:]):
-        out.append(math.sqrt(a * b))
-    return sorted(set(out))
-
-
-def _refine_y(y_grid: list[float]) -> list[float]:
+def _refine_grid(grid: list[float]) -> list[float]:
     """Insert midpoints: geometric between same-sign neighbors, arithmetic
     across (or at) zero."""
-    ys = sorted(set(y_grid))
+    ys = sorted(set(grid))
     out = list(ys)
     for a, b in zip(ys, ys[1:]):
         if a > 0 and b > 0:
@@ -741,7 +732,7 @@ def kernel_report(
     refined_c = None
     if refine:
         coarse = {(c.s, c.y) for c in cells}
-        fine = [(s, y) for s in _refine_s(s_grid) for y in _refine_y(y_grid) if (s, y) not in coarse]
+        fine = [(s, y) for s in _refine_grid(s_grid) for y in _refine_grid(y_grid) if (s, y) not in coarse]
         fine_ratios = [c.bound_ratio for c in _evaluate_grid(sing, fine, tol) if c.ok]
         refined_c = max([empirical_c, *fine_ratios])
         drift = abs(refined_c - empirical_c) / empirical_c

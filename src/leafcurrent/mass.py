@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from .currents import BoundaryProfile, CurrentSpec, profile_extension
 from .geometry import Singularity, power_polar_uv
 from .kernels import kernel_K
-from .quadrature import DecayDescriptor, QuadratureError, QuadResult, Tolerance, integrate_2d
+from .quadrature import QuadratureError, QuadResult, Tolerance, integrate_2d
 
 __all__ = [
     "MassProfile",
@@ -104,14 +104,15 @@ def _corner_mass(
     ``chart(T, V)`` returns the leaf coordinates ``(t, v)`` at which the
     extension is taken and the weight ``w`` it is integrated against; each
     profile is one :func:`~leafcurrent.quadrature.integrate_2d` call.  A
-    budget shortfall re-raises :class:`QuadratureError` whose ``best`` is
-    the weighted sum so far, the failed profile's estimate included.
+    shortfall, of the budget or of the tail bound, re-raises
+    :class:`QuadratureError` whose ``best`` is the weighted sum so far, the
+    failed profile's estimate included.
     """
     s_r = -math.log(r)
     a, b, gamma = sing.a, sing.b, sing.gamma
     total, err, evals = 0.0, 0.0, 0
     for profile, weight in spec.effective_profiles():
-        decay = DecayDescriptor(exp_rate=1.5, alg_rate=_leaf_decay_rate(profile, gamma))
+        alg_rate = _leaf_decay_rate(profile, gamma)
 
         def f(T, V):
             t, v, w = chart(T, V)
@@ -119,7 +120,7 @@ def _corner_mass(
             return (2.0 / b) * np.asarray(profile_extension(profile, hu, hv), dtype=float) * w
 
         try:
-            one = integrate_2d(f, s_r, decay, tol)
+            one = integrate_2d(f, s_r, alg_rate, tol)
         except QuadratureError as exc:
             part = exc.best
             raise QuadratureError(

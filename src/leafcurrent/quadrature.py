@@ -7,30 +7,32 @@ Two entry points:
   points (peaks, kinks), on the 16/24-node Gauss-Legendre bisection that
   :func:`~leafcurrent.kernels.kernel_K` runs on too.
 * :func:`integrate_2d` -- integration over the corner domain
-  ``{(t, v) : min(t, v) >= s}`` for integrands that decay exponentially in
-  ``min(t, v)`` and algebraically in ``max(t, v)``.  The domain is truncated so
-  a closed-form tail bound sits below the absolute tolerance, the interior is
-  handled by adaptive tensor Gauss-Legendre panels, and the tail bound is added
-  to the reported error estimate.  It carries every 2D integral of the
-  library: the ball mass, the Fubini bound and the kernel's cross-check
-  (:func:`~leafcurrent.kernels.kernel_uv_form`); the kernel ``K_s(y)``
-  itself reduces to a 1D integral (:func:`~leafcurrent.kernels.kernel_K`).
+  ``{(t, v) : min(t, v) >= s}`` for integrands that decay like
+  ``e^{-1.5 (min(t, v) - s)}`` and algebraically in ``max(t, v)``.  The domain
+  is truncated so a closed-form tail bound sits below the absolute tolerance,
+  the interior is handled by adaptive tensor Gauss-Legendre panels, and the
+  tail bound is added to the reported error estimate.  It carries every 2D
+  integral of the library: the ball mass, the Fubini bound and the kernel's
+  cross-check (:func:`~leafcurrent.kernels.kernel_uv_form`); the kernel
+  ``K_s(y)`` itself reduces to a 1D integral
+  (:func:`~leafcurrent.kernels.kernel_K`).
 
-The 2D panels are refined in rounds: each round splits the fewest worst
-panels whose errors cover the excess over the tolerance and scores all their
-children together, so :func:`integrate_2d` evaluates its integrand on stacks
+The 2D panels, one array of ``(t0, t1, v0, v1)`` rows, are refined in rounds:
+each round halves the fewest worst panels whose errors cover the excess over
+the tolerance and scores all their children together, so :func:`integrate_2d` evaluates its integrand on stacks
 of at most 16 panels (5,120 points) per call instead of once per panel.
 
 Error estimates are indicators, not guarantees.  Every result records the
-number of integrand evaluations; non-convergence raises
-:class:`QuadratureError` carrying the best estimate so far.
+number of integrand evaluations; non-convergence, or a 2D tail bound that
+cannot be brought under its target, raises :class:`QuadratureError` carrying
+the best estimate so far.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,7 +41,6 @@ __all__ = [
     "Tolerance",
     "QuadResult",
     "QuadratureError",
-    "DecayDescriptor",
     "integrate_1d",
     "integrate_2d",
 ]
@@ -67,7 +68,6 @@ class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
-    meta: Mapping[str, float] | None = field(default=None, compare=False)
 
 
 class QuadratureError(RuntimeError):
@@ -211,27 +211,6 @@ def integrate_1d(
 # 2D corner-domain integration
 
 
-@dataclass(frozen=True)
-class DecayDescriptor:
-    """Envelope rates for integrands on ``{min(t, v) >= s}``.
-
-    The tail certification assumes ``|f(t, v)| <= A * exp(-exp_rate*(min-s))
-    * (1+max)**(-alg_rate)`` on the discarded region.  The envelope constant
-    ``A`` is estimated by probing ``f`` near the truncation boundary (times a
-    safety factor), which makes the certificate an indicator rather than a
-    proof.
-    """
-
-    exp_rate: float
-    alg_rate: float
-
-    def __post_init__(self) -> None:
-        if not self.exp_rate > 0.0:
-            raise ValueError("exp_rate must be positive")
-        if not self.alg_rate > 1.0:
-            raise ValueError("alg_rate must exceed 1")
-
-
 # Both tensor rules of a panel on one node set: the 8x8 and 16x16
 # Gauss-Legendre offsets on [-1, 1]^2, concatenated, with flattened weights.
 _N_LO, _W_LO = leggauss(8)
@@ -266,24 +245,29 @@ _PROBE_LEVELS = 80
 _PROBE_MIN_POINTS = 12
 _PROBE_MAX_POINTS = 14
 
+# The envelope's rate in ``min(t, v) - s``, below the rate 2 at which the
+# weights of the library's corner integrands decay.
+_EXP_RATE = 1.5
+
 
 def _truncate_corner(
-    f, s: float, decay: DecayDescriptor, target: float, m_cut: float, x_cut: float
+    f, s: float, alg_rate: float, target: float, m_cut: float, x_cut: float
 ) -> tuple[float, float, float, float]:
     """Cut points of ``{min(t, v) >= s}`` and the closed-form tail bounds beyond them.
 
-    Under the envelope ``A e^{-q (min - s)} (1 + max)^{-p}`` of ``decay``, the
-    max-direction cut doubles until the algebraic tail bound over
-    ``{max > x_cut}`` is at most ``target/4``; the min-direction cut then grows
-    in steps of 5, never past the max cut, until the exponential tail bound
-    over ``{min > m_cut}`` is too.  At each level ``A`` is 4 times the largest
-    envelope ratio ``|f| / envelope`` (NaNs ignored) on a geometric grid of
-    ``min`` in ``[s, m_cut]`` times ``max`` in ``[x_cut, 8 x_cut]``, sampled in
-    both orientations ``(t, v)`` and ``(v, t)`` by one call of ``f``; both
-    tail bounds count the two orientations.  Returns
+    Under the envelope ``A e^{-q (min - s)} (1 + max)^{-p}``, ``q = 1.5`` and
+    ``p = alg_rate``, the max-direction cut doubles, at most 80 times, until
+    the algebraic tail bound over ``{max > x_cut}`` is at most ``target/4``
+    (past the last level it is returned as it is); the min-direction cut then
+    grows in steps of 5, never past the max cut, until the exponential tail
+    bound over ``{min > m_cut}`` is too.  At each level ``A`` is 4 times the
+    largest envelope ratio ``|f| / envelope`` (NaNs ignored) on a geometric
+    grid of ``min`` in ``[s, m_cut]`` times ``max`` in ``[x_cut, 8 x_cut]``,
+    sampled in both orientations ``(t, v)`` and ``(v, t)`` by one call of
+    ``f``; both tail bounds count the two orientations.  Returns
     ``(m_cut, x_cut, tail_exp, tail_alg)``.
     """
-    q, p = decay.exp_rate, decay.alg_rate
+    q, p = _EXP_RATE, alg_rate
     ms = np.geomspace(max(s, 1e-12), m_cut, _PROBE_MIN_POINTS) if m_cut > s else np.array([s])
     ms = np.clip(ms, s, m_cut)
     x_cuts = x_cut * 2.0 ** np.arange(_PROBE_LEVELS)
@@ -302,8 +286,6 @@ def _truncate_corner(
         tail_alg = 2.0 * A * (1.0 + x_cut) ** (1.0 - p) / (q * (p - 1.0))
         if tail_alg <= 0.25 * target or A == 0.0:
             break
-    else:
-        x_cut *= 2.0
 
     def exp_tail(mc: float) -> float:
         return 2.0 * A * (1.0 + mc) ** (1.0 - p) * math.exp(-q * (mc - s)) / (q * (p - 1.0))
@@ -316,42 +298,51 @@ def _truncate_corner(
 def integrate_2d(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     s: float,
-    decay: DecayDescriptor,
+    alg_rate: float,
     tol: Tolerance | None = None,
 ) -> QuadResult:
     """Integrate a vectorized ``f(t, v)`` over ``{min(t, v) >= s}``.
 
-    The min-direction is cut at ``s + max(10, -log(abs_tol)/2)`` (extended until
-    the exponential tail bound is below ``abs_tol/4``); the max-direction is cut
-    where the algebraic tail bound drops below ``abs_tol/4``.  Both closed-form
-    tail bounds are added to the error estimate, and the truncation bounds are
-    recorded in ``meta``.  ``f`` must be elementwise over arrays of any
-    shape: it is called on whole stacks of panels at once.  A non-finite
-    value of ``f`` on a panel raises :class:`ValueError`.
+    The tail bounds assume the envelope ``|f(t, v)| <= A e^{-1.5 (min - s)}
+    (1 + max)^{-alg_rate}`` on the discarded region, with ``alg_rate > 1``
+    (else :class:`ValueError`).  ``A`` is estimated by probing ``f`` near the
+    cuts, times a safety factor, which makes the bounds an indicator rather
+    than a proof.  The min-direction is cut at ``s + max(10, -log(abs_tol)/2)``
+    (extended until the exponential tail bound is below ``abs_tol/4``); the
+    max-direction is cut where the algebraic tail bound drops below
+    ``abs_tol/4``.  Both closed-form tail bounds are added to the error
+    estimate.  ``f`` must be elementwise over arrays of any shape: it is
+    called on whole stacks of panels at once.  A non-finite value of ``f`` on
+    a panel raises :class:`ValueError`.
 
     Until the summed panel errors meet ``max(abs_tol/2, rel_tol*|value|)``,
     each round halves, across its longer side, each of the fewest worst
     panels whose errors cover the excess (always at least one) and scores
-    all their children together.  Exceeding ``max_evals`` raises
-    :class:`QuadratureError` carrying the current estimate.
+    all their children together.  Exceeding ``max_evals``, or an algebraic
+    tail bound still above ``abs_tol/4`` after the max cut's 80 doublings,
+    raises :class:`QuadratureError` carrying the estimate of the finished
+    interior.
     """
     tol = tol or Tolerance()
     if not s > 0.0:
         raise ValueError("need s > 0")
-    evals = [0]
+    if not alg_rate > 1.0:
+        raise ValueError("alg_rate must exceed 1")
+    evals = 0
 
     def fc(T, V):
-        evals[0] += int(np.size(T))
+        nonlocal evals
+        evals += int(np.size(T))
         return f(T, V)
 
     m_cut = s + max(10.0, -0.5 * math.log(tol.abs_tol))
     x_cut = max(m_cut + 1.0, s + 10.0)
-    m_cut, x_cut, tail_exp, tail_alg = _truncate_corner(fc, s, decay, tol.abs_tol, m_cut, x_cut)
+    m_cut, x_cut, tail_exp, tail_alg = _truncate_corner(fc, s, alg_rate, tol.abs_tol, m_cut, x_cut)
 
-    def rule(rects):
+    def rule(panels):
         values, errors = [], []
-        for i in range(0, len(rects), _STACK_PANELS):
-            box = np.array(rects[i : i + _STACK_PANELS])
+        for i in range(0, len(panels), _STACK_PANELS):
+            box = panels[i : i + _STACK_PANELS]
             tr, vr = 0.5 * (box[:, 1] - box[:, 0]), 0.5 * (box[:, 3] - box[:, 2])
             T = (0.5 * (box[:, 0] + box[:, 1]))[:, None] + tr[:, None] * _OFF_T
             V = (0.5 * (box[:, 2] + box[:, 3]))[:, None] + vr[:, None] * _OFF_V
@@ -367,16 +358,16 @@ def integrate_2d(
             raise ValueError("the integrand returned a non-finite value on a quadrature panel")
         return values, errors
 
-    # --- interior: L-shaped region as two rectangles
+    # --- interior: L-shaped region as two rectangles of ladder panels, rows
+    # (t0, t1, v0, v1)
     rects = [(s, m_cut, s, x_cut)]
     if x_cut > m_cut:
         rects.append((m_cut, x_cut, s, m_cut))
-    panels = []
-    for (t0, t1, v0, v1) in rects:
+    boxes = []
+    for t0, t1, v0, v1 in rects:
         t_edges, v_edges = _ladder(t0, t1), _ladder(v0, v1)
-        for e0, e1 in zip(t_edges[:-1], t_edges[1:]):
-            for g0, g1 in zip(v_edges[:-1], v_edges[1:]):
-                panels.append((e0, e1, g0, g1))
+        boxes += [(*te, *ve) for te in zip(t_edges, t_edges[1:]) for ve in zip(v_edges, v_edges[1:])]
+    panels = np.array(boxes)
 
     values, errors = rule(panels)
     while True:
@@ -384,29 +375,34 @@ def integrate_2d(
         err = float(errors.sum())
         target = max(0.5 * tol.abs_tol, tol.rel_tol * abs(value))
         converged = err <= target
-        if converged or evals[0] > tol.max_evals:
-            result = QuadResult(
-                value, err + tail_exp + tail_alg, evals[0], meta={"min_cut": m_cut, "max_cut": x_cut}
-            )
-            if converged:
-                return result
-            raise QuadratureError("evaluation budget exhausted", best=result)
+        if converged or evals > tol.max_evals:
+            result = QuadResult(value, err + tail_exp + tail_alg, evals)
+            if not converged:
+                raise QuadratureError("evaluation budget exhausted", best=result)
+            if tail_alg > 0.25 * tol.abs_tol:
+                raise QuadratureError(
+                    f"the algebraic tail bound {tail_alg:.3e} past max(t, v) = {x_cut:.3e} "
+                    f"exceeds its target {0.25 * tol.abs_tol:.3e}",
+                    best=result,
+                )
+            return result
         # worst first; the stable sort splits the older of two equal panels
         order = np.argsort(-errors, kind="stable")
         count = int(np.searchsorted(np.cumsum(errors[order]), err - target)) + 1
         chosen = order[: min(count, len(order))]
         keep = np.ones(len(panels), dtype=bool)
         keep[chosen] = False
-        children = []
-        for i in chosen:
-            t0, t1, v0, v1 = panels[i]
-            if (t1 - t0) >= (v1 - v0):
-                mid = 0.5 * (t0 + t1)
-                children += [(t0, mid, v0, v1), (mid, t1, v0, v1)]
-            else:
-                mid = 0.5 * (v0 + v1)
-                children += [(t0, t1, v0, mid), (t0, t1, mid, v1)]
+        # halve each chosen panel across its longer side (t on a tie), whose
+        # edges are the columns (side, side + 1); the children follow the kept
+        # panels, two per chosen panel, worst first
+        first, second = panels[chosen], panels[chosen]
+        rows = np.arange(len(chosen))
+        side = np.where(first[:, 1] - first[:, 0] >= first[:, 3] - first[:, 2], 0, 2)
+        mid = 0.5 * (first[rows, side] + first[rows, side + 1])
+        first[rows, side + 1] = mid
+        second[rows, side] = mid
+        children = np.stack((first, second), axis=1).reshape(-1, 4)
         child_values, child_errors = rule(children)
-        panels = [panel for panel, kept in zip(panels, keep.tolist()) if kept] + children
+        panels = np.concatenate((panels[keep], children))
         values = np.concatenate((values[keep], child_values))
         errors = np.concatenate((errors[keep], child_errors))

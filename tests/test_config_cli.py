@@ -551,10 +551,10 @@ def test_module_entry_point_runs_the_cli(tmp_path) -> None:
 _OPTIONAL_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special")
 
 
-def _loaded_after(snippet: str, timeout: float = 120) -> tuple[str, set[str]]:
+def _loaded_after(snippet: str, timeout: float = 120, modules=_OPTIONAL_SCIPY) -> tuple[str, set[str]]:
     """Run ``snippet`` in a fresh interpreter; return the last line it printed
-    and which of ``_OPTIONAL_SCIPY`` it left in ``sys.modules``."""
-    probe = f"{snippet}\nimport json, sys\nprint(json.dumps([m for m in {_OPTIONAL_SCIPY!r} if m in sys.modules]))"
+    and which of ``modules`` it left in ``sys.modules``."""
+    probe = f"{snippet}\nimport json, sys\nprint(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_checkout_env(), timeout=timeout
     )
@@ -570,6 +570,16 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded() -> None:
     # and importing the three modules too adds about 0.45 s and 43 MB
     # (scipy.special alone 0.15-0.2 s and 17 MB)
     assert _loaded_after("import leafcurrent.cli") == ("", set())
+
+
+def test_jsonschema_loads_on_the_first_config_parse() -> None:
+    # only a config parse validates against the schema; on a 2-core host
+    # jsonschema was about a third of `import leafcurrent.kernels`
+    assert _loaded_after("import leafcurrent.kernels", modules=("jsonschema",)) == ("", set())
+    printed, loaded = _loaded_after(
+        "from leafcurrent.config import parse_config; print(parse_config(None).seed)", modules=("jsonschema",)
+    )
+    assert (printed, loaded) == ("20250819", {"jsonschema"})
 
 
 def test_full_run_and_1d_quadratures_leave_scipy_integrate_unloaded(tmp_path) -> None:

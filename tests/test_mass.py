@@ -21,12 +21,14 @@ same two strip corrections through nested adaptive quadrature; its accuracy
 is mesh-noise limited near ``2e-4`` relative.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from leafcurrent import mass
+from leafcurrent.cli import run_command
 from leafcurrent.currents import (
     CurrentSpec,
     algebraic_profile,
@@ -253,6 +255,30 @@ def test_mass_of_too_slowly_decaying_profile_is_reported_divergent():
     cur = default_current(RATIO_SQUARE, algebraic_profile(exponent=0.3))
     with pytest.raises(QuadratureError, match="diverges"):
         mass_F(cur, RATIO_SQUARE, 0.5)
+
+
+def test_mass_whose_tail_misses_its_target_raises(tmp_path, capsys):
+    # beta = 0.9 barely beats 1/gamma = 0.75: the algebraic rate gamma beta =
+    # 1.2 leaves a tail bound near 1.2e-5 after the max cut's 80 doublings,
+    # far above the target, which once came back as a normal result
+    cur = default_current(RATIO_SHALLOW, algebraic_profile(exponent=0.9))
+    r = math.exp(-2.0)
+    with pytest.raises(QuadratureError, match="tail bound") as info:
+        mass_F(cur, RATIO_SHALLOW, r)
+    best = info.value.best
+    assert best.value == pytest.approx(0.2121, rel=1e-3)
+    assert best.error_estimate > 1e-6 and best.evaluations > 0
+    # the CLI reports the shortfall: exit 1, the failure in the warnings
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "singularity": [[[1.0, 0.0], [1.0, 1.0]]],
+        "current": {"family": "algebraic", "exponent": 0.9},
+        "grids": {"rGrid": [r]},
+    }))
+    assert run_command(["profile", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    warnings = json.loads((tmp_path / "out" / "metadata.json").read_text())["warnings"]
+    assert any("mass profile algebraic" in w and "tail bound" in w for w in warnings)
 
 
 def test_square_ratio_mass_is_within_two_permille_of_oracle():

@@ -19,7 +19,6 @@ import pytest
 from scipy.special import expn
 
 from leafcurrent.quadrature import (
-    DecayDescriptor,
     QuadratureError,
     Tolerance,
     _truncate_corner,
@@ -29,7 +28,7 @@ from leafcurrent.quadrature import (
 
 TIGHT = Tolerance(rel_tol=1e-10, abs_tol=1e-12, max_evals=2_000_000)
 TOL_2D = Tolerance(rel_tol=1e-9, abs_tol=1e-11, max_evals=4_000_000)
-EXP_DECAY = DecayDescriptor(exp_rate=1.5, alg_rate=2.5)
+EXP_DECAY = 2.5
 
 
 @pytest.mark.parametrize("s0", [1.0, 2.0, 10.0])
@@ -143,7 +142,7 @@ def test_2d_algebraic_closed_form():
     def f(t, v):
         return np.exp(2.0 - 2.0 * np.minimum(t, v)) / np.maximum(t, v) ** 3
 
-    res = integrate_2d(f, 1.0, DecayDescriptor(exp_rate=1.9, alg_rate=3.0), TOL_2D)
+    res = integrate_2d(f, 1.0, 3.0, TOL_2D)
     exact = math.exp(2.0) * expn(2, 2)
     assert res.value == pytest.approx(exact, rel=1e-8)
 
@@ -161,8 +160,8 @@ def test_2d_error_estimate_covers_tail_truncation():
         m = np.minimum(t, v)
         return np.exp(2.0 - 2.0 * m) / (1.0 + np.maximum(t, v)) ** 2.5
 
-    loose = integrate_2d(f, 1.0, DecayDescriptor(exp_rate=1.9, alg_rate=2.5), Tolerance(1e-6, 1e-8, 4_000_000))
-    tight = integrate_2d(f, 1.0, DecayDescriptor(exp_rate=1.9, alg_rate=2.5), Tolerance(1e-8, 1e-10, 4_000_000))
+    loose = integrate_2d(f, 1.0, 2.5, Tolerance(1e-6, 1e-8, 4_000_000))
+    tight = integrate_2d(f, 1.0, 2.5, Tolerance(1e-8, 1e-10, 4_000_000))
     assert abs(loose.value - tight.value) <= loose.error_estimate + tight.error_estimate
 
 
@@ -177,7 +176,23 @@ def test_budget_exhaustion_raises_with_best_estimate():
     assert best.value == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-2)
 
 
-@pytest.mark.parametrize("target, levels", [(1e-4, 9), (1e-10, 22), (1e-16, 36)])
+def test_2d_tail_that_misses_its_target_raises():
+    # f decays like max^-1.01, not max^-3 as claimed: the probed envelope
+    # constant grows with the cut, and 80 doublings cannot bring the tail
+    # bound under the target, so the finished interior comes back as `best`
+    def f(t, v):
+        return np.exp(2.0 - 2.0 * np.minimum(t, v)) / (1.0 + np.maximum(t, v)) ** 1.01
+
+    with pytest.raises(QuadratureError, match="tail bound") as exc:
+        integrate_2d(f, 1.0, 3.0, TOL_2D)
+    best = exc.value.best
+    assert best.value > 0.0 and best.error_estimate > TOL_2D.abs_tol
+    assert best.evaluations > 0
+
+
+# the envelope ratio of f below is e^{-0.5 (min - 1)}, so A = 4 and the cut is
+# the first x = 12 * 2^k with 2 A (1 + x)^-1.5 / (1.5 * 1.5) <= target/4
+@pytest.mark.parametrize("target, levels", [(1e-4, 9), (1e-10, 23), (1e-16, 36)])
 def test_truncation_probe_calls_the_integrand_once_per_doubling_level(target, levels):
     shapes = []
 
@@ -185,9 +200,7 @@ def test_truncation_probe_calls_the_integrand_once_per_doubling_level(target, le
         shapes.append(np.shape(t))
         return np.exp(2.0 - 2.0 * np.minimum(t, v)) / (1.0 + np.maximum(t, v)) ** 2.5
 
-    m_cut, x_cut, tail_exp, tail_alg = _truncate_corner(
-        f, 1.0, DecayDescriptor(exp_rate=1.9, alg_rate=2.5), target, 11.0, 12.0
-    )
+    m_cut, x_cut, tail_exp, tail_alg = _truncate_corner(f, 1.0, 2.5, target, 11.0, 12.0)
     assert x_cut == 12.0 * 2.0 ** (levels - 1)
     # each call samples both orientations: 2 x 12 depths x 14 maxima
     assert shapes == [(24, 14)] * levels
@@ -216,7 +229,8 @@ def test_tolerance_validation():
         Tolerance(abs_tol=0.0)
     with pytest.raises(ValueError):
         Tolerance(max_evals=10)
-    with pytest.raises(ValueError):
-        DecayDescriptor(exp_rate=0.0, alg_rate=2.0)
-    with pytest.raises(ValueError):
-        DecayDescriptor(exp_rate=1.0, alg_rate=1.0)
+
+
+def test_2d_needs_an_algebraic_rate_above_one():
+    with pytest.raises(ValueError, match="alg_rate"):
+        integrate_2d(lambda t, v: np.exp(-t - v), 1.0, 1.0, TOL_2D)
