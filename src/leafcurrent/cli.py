@@ -70,7 +70,7 @@ from .kernels import (
 )
 from .mass import mass_profile
 from .quadrature import QuadratureError, Tolerance
-from .recurrence import recurrence_report, uniformize_leaf, visibility_rows
+from .recurrence import recurrence_report, uniformize_leaf, visibility_N
 from .reports import ReportBundle, Table, config_hash, emit_reports, format_number, tool_version
 
 __all__ = ["build_parser", "run_command", "main"]
@@ -148,7 +148,7 @@ def _run_kernel(state: _RunState) -> None:
             report = kernel_report(
                 sing, cfg.s_grid, cfg.y_grid, tol=state.tolerance_override(), refine=refine
             )
-        except (QuadratureError, RuntimeError) as exc:
+        except QuadratureError as exc:
             state.fail(f"kernel sweep {tag}: {exc}")
             continue
         for cell in report.failed_cells:
@@ -239,7 +239,7 @@ def _run_profile(state: _RunState) -> None:
         )
 
 
-def _target_tag(index: int, target) -> str:
+def _target_tag(target) -> str:
     if target == 0:
         return "origin"
     z, w = target
@@ -259,28 +259,12 @@ def _run_recurrence(state: _RunState) -> None:
     except ValueError as exc:
         raise ConfigError(f"config error at recurrence: {exc}") from None
 
-    def rng_for(index: int):
-        return np.random.default_rng((cfg.seed, index)) if rec.monte_carlo else None
-
-    # the horizon rows and the decay fit do not depend on the target: the
-    # first target's report carries them, the other targets add visibility only
-    report = recurrence_report(
-        uni,
-        r_grid=cfg.r_grid,
-        R_grid=cfg.R_grid,
-        horizon=rec.horizon,
-        n_t=rec.n_t,
-        n_theta=rec.n_theta,
-        rng=rng_for(0),
-        target=rec.targets[0],
-    )
     for index, target in enumerate(rec.targets):
-        rows = report.visibility_rows if index == 0 else visibility_rows(
-            uni, target, cfg.r_grid, rec.horizon, n_t=rec.n_t, n_theta=rec.n_theta, rng=rng_for(index)
-        )
-        state.tables.append(
-            Table(f"recurrence_visibility_{_target_tag(index, target)}", ("r", "N", "N_log"), rows)
-        )
+        rng = np.random.default_rng((cfg.seed, index)) if rec.monte_carlo else None
+        values = visibility_N(uni, target, cfg.r_grid, rec.horizon, n_t=rec.n_t, n_theta=rec.n_theta, rng=rng)
+        rows = tuple((r, n, n * abs(math.log(r))) for r, n in zip(cfg.r_grid, values.tolist()))
+        state.tables.append(Table(f"recurrence_visibility_{_target_tag(target)}", ("r", "N", "N_log"), rows))
+    report = recurrence_report(cfg.R_grid)
     state.tables.append(
         Table("recurrence_horizon", ("R", "M_R", "deviation", "mass"), report.horizon_rows)
     )

@@ -33,7 +33,7 @@ from .currents import (
     triangle_profile,
     zero_profile,
 )
-from .geometry import NonHyperbolicError, Singularity, normalize_singularity
+from .geometry import NonHyperbolicError, Singularity, in_fundamental_annulus, normalize_singularity
 from .mass import _check_radius
 from .quadrature import Tolerance
 
@@ -326,6 +326,15 @@ def parse_config(document: Mapping | None, overrides: Mapping | None = None) -> 
     current = resolved["current"]
     if isinstance(current, Mapping):
         _build_profile(current)  # fail fast on family/parameter mismatches
+        if current.get("atom") is not None:
+            # the profile stage runs the first singularity
+            atom = _decode_complex(current["atom"], "current.atom")
+            sing = normalize_singularity(*pairs[0])
+            if not in_fundamental_annulus(sing, atom):
+                raise ConfigError(
+                    f"config error at current.atom: {atom} lies outside the fundamental "
+                    f"annulus [e^(-2 pi b), 1) of the first singularity, b={sing.b}"
+                )
 
     return ExperimentConfig(
         singularity_pairs=tuple(pairs),

@@ -422,7 +422,6 @@ class IntegrabilityReport:
 
     chi_mass: float
     converged: bool
-    per_leaf: tuple[float, ...]
     window: float | None = None
     error_estimate: float = 0.0
 
@@ -443,7 +442,7 @@ def integrability_mass(
     """
     tol = tol or _DEFAULT_TOL
     inv_gamma = 1.0 / sing.gamma
-    per_leaf: list[float] = []
+    chi_mass = 0.0
     err_total = 0.0
     converged = True
     used_window: float | None = None
@@ -461,12 +460,11 @@ def integrability_mass(
             converged = False
             used_window = window
         res = integrate_1d(integrand, lo, hi, tol=tol, break_points=[0.0, *prof.break_points])
-        per_leaf.append(w * res.value)
+        chi_mass += w * res.value
         err_total += w * res.error_estimate
     return IntegrabilityReport(
-        chi_mass=float(sum(per_leaf)),
+        chi_mass=float(chi_mass),
         converged=converged,
-        per_leaf=tuple(per_leaf),
         window=used_window,
         error_estimate=err_total,
     )

@@ -333,7 +333,6 @@ class RegimeBand:
     sup_ratio: float
     inf_ratio: float
     sample_count: int
-    thresholds: RegimeThresholds
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -499,7 +498,6 @@ def regime_constant_sampler(
         sup_ratio=sup_ratio,
         inf_ratio=inf_ratio,
         sample_count=sample_count,
-        thresholds=thresholds,
     )
 
 
@@ -655,8 +653,6 @@ class KernelReport:
     empirical_c: float
     refinement_drift: float | None
     refined_empirical_c: float | None
-    s_grid: tuple[float, ...]
-    y_grid: tuple[float, ...]
 
     @property
     def failed_cells(self) -> tuple[KernelCell, ...]:
@@ -714,7 +710,8 @@ def kernel_report(
     insertion) and the relative change of the sup is reported as
     ``refinement_drift``; the refined grids contain the coarse ones, whose
     cells are reused rather than recomputed.  Failed cells are flagged,
-    never dropped silently.
+    never dropped silently; when every cell fails the sweep raises
+    :class:`QuadratureError`, whose ``best`` counts the evaluations spent.
     """
     s_grid = sorted(float(s) for s in s_grid)
     y_grid = sorted(float(y) for y in y_grid)
@@ -725,7 +722,8 @@ def kernel_report(
     cells = _evaluate_grid(sing, [(s, y) for s in s_grid for y in y_grid], tol)
     ratios = [c.bound_ratio for c in cells if c.ok]
     if not ratios:
-        raise RuntimeError("all kernel cells failed")
+        spent = sum(c.evaluations for c in cells)
+        raise QuadratureError("all kernel cells failed", best=QuadResult(math.nan, math.nan, spent))
     empirical_c = max(ratios)
 
     drift = None
@@ -741,8 +739,6 @@ def kernel_report(
         empirical_c=empirical_c,
         refinement_drift=drift,
         refined_empirical_c=refined_c,
-        s_grid=tuple(s_grid),
-        y_grid=tuple(y_grid),
     )
 
 

@@ -16,8 +16,8 @@ Euclidean radius ``tanh(t/2)`` and length ``2 pi sinh t``.
 
 The statistics computed here are finite-horizon throughout: visibility
 averages are reported together with their horizon ``R`` and never as the
-defining upper limit, and horizons beyond ``R = 25`` are rejected by
-default because ``tanh(R/2)`` is then within ``3e-11`` of ``1`` and the
+defining upper limit, and horizons beyond ``R = 25`` are rejected
+because ``tanh(R/2)`` is then within ``3e-11`` of ``1`` and the
 ambient evaluation of the covering map degenerates in double precision.
 """
 
@@ -56,7 +56,6 @@ __all__ = [
     "t_of_s",
     "uniformize_leaf",
     "visibility_N",
-    "visibility_rows",
 ]
 
 DEFAULT_MAX_HORIZON = 25.0
@@ -261,56 +260,55 @@ def circle_average(
 _ROW_BLOCK = 8
 
 
-def _check_horizon(R: float, max_horizon: float) -> None:
+def _check_horizon(R: float) -> None:
     if R <= 0.0:
         raise ValueError("horizon must be positive")
-    if R > max_horizon:
+    if R > DEFAULT_MAX_HORIZON:
         raise ValueError(
-            f"horizon {R} exceeds {max_horizon}; tanh(R/2) is then within "
+            f"horizon {R} exceeds {DEFAULT_MAX_HORIZON}; tanh(R/2) is then within "
             "3e-11 of 1 and the covering map degenerates in double precision"
         )
-
-
-def _visibility(uni, x, radii, R, n_t, n_theta, rng, max_horizon=DEFAULT_MAX_HORIZON) -> list[float]:
-    # one distance per node, thresholded at every radius: N is monotone in r;
-    # the nodes go through the covering map a block of circles at a time,
-    # elementwise, so the blocks give the bits of one whole-grid pass
-    _check_horizon(R, max_horizon)
-    if n_t < 2:
-        raise ValueError("need at least two time nodes")
-    if n_theta < 8:
-        raise ValueError("need at least eight angular nodes")
-    if any(r <= 0.0 for r in radii):
-        raise ValueError("ball radius must be positive")
-    ts = np.linspace(0.0, R, n_t)
-    target = _ambient_target(x)
-    thetas = _circle_angles(n_t, n_theta, rng)
-    inside = np.empty((len(radii), n_t))  # circle averages, one row per radius
-    for lo in range(0, n_t, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        distance = _ambient_distance(uni, target, ts[rows], thetas if rng is None else thetas[rows])
-        for row, r in zip(inside, radii):
-            row[rows] = (distance < r).mean(axis=1)
-    return [float(np.trapezoid(row, ts) / R) for row in inside]
 
 
 def visibility_N(
     uni: LeafUniformization,
     x,
-    r: float,
+    r,
     R: float,
     n_t: int = 64,
     n_theta: int = 256,
     rng: np.random.Generator | None = None,
-    max_horizon: float = DEFAULT_MAX_HORIZON,
-) -> float:
+):
     """Finite-horizon visibility ``(1/R) int_0^R circle_average dt``.
 
     Composite trapezoid on a uniform ``t``-grid; always in ``[0, 1]``, and
     monotone nondecreasing in ``r`` on identical grids.  This is the
     truncated statistic at horizon ``R``, not the defining upper limit.
+    A scalar ``r`` gives a float, an array of radii one value per radius:
+    every radius thresholds the same distances, from one covering-map pass
+    and, under ``rng``, one angle draw.
     """
-    return _visibility(uni, x, (r,), R, n_t, n_theta, rng, max_horizon)[0]
+    _check_horizon(R)
+    if n_t < 2:
+        raise ValueError("need at least two time nodes")
+    if n_theta < 8:
+        raise ValueError("need at least eight angular nodes")
+    radii = np.asarray(r, dtype=float)
+    if np.any(radii <= 0.0):
+        raise ValueError("ball radius must be positive")
+    ts = np.linspace(0.0, R, n_t)
+    target = _ambient_target(x)
+    thetas = _circle_angles(n_t, n_theta, rng)
+    inside = np.empty((radii.size, n_t))  # circle averages, one row per radius
+    # the nodes go through the covering map a block of circles at a time,
+    # elementwise, so the blocks give the bits of one whole-grid pass
+    for lo in range(0, n_t, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        distance = _ambient_distance(uni, target, ts[rows], thetas if rng is None else thetas[rows])
+        for row, radius in zip(inside, radii.flat):
+            row[rows] = (distance < radius).mean(axis=1)
+    out = (np.trapezoid(inside, ts, axis=1) / R).reshape(radii.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +420,6 @@ def m_aR_pushforward(
     f,
     n_t: int = _PUSHFORWARD_N_T,
     n_theta: int = 256,
-    max_horizon: float = DEFAULT_MAX_HORIZON,
 ) -> float:
     """Integral of the ambient function ``f`` against the normalized pushforward.
 
@@ -438,7 +435,7 @@ def m_aR_pushforward(
     which handles the logarithmic derivative blow-up of the weight at
     ``t = 0`` without special casing.
     """
-    _check_horizon(R, max_horizon)
+    _check_horizon(R)
     if n_t < 8 or n_theta < 8:
         raise ValueError("need at least eight nodes per direction")
 
@@ -481,61 +478,24 @@ def eta_local(uni: LeafUniformization) -> float:
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    """Finite-horizon recurrence statistics for one uniformized leaf.
+    """The leaf-independent recurrence statistics.
 
-    ``visibility_rows`` hold ``(r, N, N * |log r|)`` at the stated horizon;
     ``horizon_rows`` hold ``(R, M_R, M_R - 2 pi R, pushforward mass of 1)``;
     ``decay_fit`` is the fitted slope of ``log |circle_factor - 1|`` against
     ``t`` on ``[5, 15]``.
     """
 
-    horizon: float
-    n_t: int
-    n_theta: int
-    visibility_rows: tuple[tuple[float, float, float], ...]
     horizon_rows: tuple[tuple[float, float, float, float], ...]
     decay_fit: float
 
 
-def visibility_rows(
-    uni: LeafUniformization,
-    target,
-    r_grid,
-    horizon: float,
-    n_t: int = 128,
-    n_theta: int = 512,
-    rng: np.random.Generator | None = None,
-) -> tuple[tuple[float, float, float], ...]:
-    """Rows ``(r, N, N * |log r|)`` of :func:`visibility_N` at ``target``
-    over ``r_grid``, at one horizon, from one covering-map pass and, under
-    ``rng``, the one angle draw that :func:`visibility_N` makes."""
-    r_grid = [float(r) for r in r_grid]
-    values = _visibility(uni, target, r_grid, horizon, n_t, n_theta, rng)
-    return tuple((r, n, n * abs(math.log(r))) for r, n in zip(r_grid, values))
-
-
-def recurrence_report(
-    uni: LeafUniformization,
-    r_grid=None,
-    R_grid=(5.0, 10.0, 15.0, 20.0),
-    horizon: float = 20.0,
-    n_t: int = 128,
-    n_theta: int = 512,
-    rng: np.random.Generator | None = None,
-    target=0,
-) -> RecurrenceReport:
-    """Assemble visibility and normalization statistics in fixed order.
-
-    ``target`` is the ambient point whose visibility is tabulated (the
-    origin by default); any form accepted by :func:`visibility_N` works.
-    """
-    if r_grid is None:
-        r_grid = tuple(2.0**-k for k in range(7, 13))
-    visibility = visibility_rows(uni, target, r_grid, horizon, n_t=n_t, n_theta=n_theta, rng=rng)
+def recurrence_report(R_grid=(5.0, 10.0, 15.0, 20.0)) -> RecurrenceReport:
+    """Normalization rows over ``R_grid`` and the circle-gap decay fit, in fixed
+    order; neither depends on the leaf, so no covering map is evaluated."""
     horizon_rows = []
     for R in R_grid:
         R = float(R)
-        _check_horizon(R, DEFAULT_MAX_HORIZON)
+        _check_horizon(R)
         m = M_of_R(R)
         # the pushforward of the constant 1 (m_aR_pushforward with f == 1):
         # its angular means are exactly 1, so the rule skips the covering map
@@ -544,11 +504,4 @@ def recurrence_report(
     ts = np.linspace(5.0, 15.0, 41)
     gaps = np.abs(circle_factor(ts) - 1.0)
     decay = float(np.polyfit(ts, np.log(gaps), 1)[0])
-    return RecurrenceReport(
-        horizon=float(horizon),
-        n_t=int(n_t),
-        n_theta=int(n_theta),
-        visibility_rows=visibility,
-        horizon_rows=tuple(horizon_rows),
-        decay_fit=decay,
-    )
+    return RecurrenceReport(horizon_rows=tuple(horizon_rows), decay_fit=decay)

@@ -453,6 +453,100 @@ def test_recurrence_stage_computes_horizon_rows_once(tmp_path, monkeypatch) -> N
     assert len(rows) == 1 + len(R_grid)
 
 
+def test_recurrence_stage_calls_visibility_once_per_target(tmp_path, monkeypatch) -> None:
+    # one visibility_N call per target on the whole rGrid: the covering map
+    # sees nT x nTheta nodes per target, and none inside recurrence_report
+    import leafcurrent.cli as cli
+    from leafcurrent.recurrence import LeafUniformization
+
+    nodes = []
+    real_ambient_at = LeafUniformization.ambient_at
+
+    def counted_ambient_at(self, xi):
+        nodes.append(np.size(xi))
+        return real_ambient_at(self, xi)
+
+    def counting(fn, log):
+        def wrapper(*args, **kwargs):
+            before = sum(nodes)
+            result = fn(*args, **kwargs)
+            log.append((args, kwargs, sum(nodes) - before))
+            return result
+
+        return wrapper
+
+    visibility_calls, report_calls = [], []
+    monkeypatch.setattr(LeafUniformization, "ambient_at", counted_ambient_at)
+    monkeypatch.setattr(cli, "visibility_N", counting(cli.visibility_N, visibility_calls))
+    monkeypatch.setattr(cli, "recurrence_report", counting(cli.recurrence_report, report_calls))
+    r_grid = [2.0**-k for k in range(1, 6)]
+    targets = [0, [[0.5, 0.0], [0.0, 0.0]], [[0.25, 0.1], [0.0, 0.3]]]
+    config = _write(
+        tmp_path / "c.json",
+        {
+            "grids": {"rGrid": r_grid, "RGrid": [5.0, 10.0]},
+            "recurrence": {"nT": 16, "nTheta": 64, "horizon": 8.0, "targets": targets},
+        },
+    )
+    out = tmp_path / "out"
+    assert run_command(["recurrence", "--config", config, "--out", str(out)]) == 0
+    assert [args[1] for args, _, _ in visibility_calls] == [0, (0.5, 0j), (0.25 + 0.1j, 0.3j)]
+    for args, kwargs, mapped in visibility_calls:
+        assert args[2:] == (tuple(r_grid), 8.0)
+        assert (kwargs["n_t"], kwargs["n_theta"]) == (16, 64)
+        assert mapped == 16 * 64
+    assert [(args, mapped) for args, _, mapped in report_calls] == [(((5.0, 10.0),), 0)]
+    for tag in ("origin", "x0p5_0_0_0", "x0p25_0p1_0_0p3"):
+        header, *lines = (out / f"recurrence_visibility_{tag}.csv").read_text().splitlines()
+        assert header == "r,N,N_log"
+        rows = [tuple(float(x) for x in line.split(",")) for line in lines]
+        assert [row[0] for row in rows] == r_grid
+        for r, n, weighted in rows:
+            assert 0.0 <= n <= 1.0
+            assert weighted == n * abs(math.log(r))
+
+
+def test_kernel_stage_lets_programming_errors_propagate(tmp_path, monkeypatch) -> None:
+    # only a quadrature failure is a failed sweep: a bug in the kernel surfaces
+    def broken_kernel(*args, **kwargs):
+        raise NotImplementedError("bug in the kernel")
+
+    monkeypatch.setattr("leafcurrent.kernels.kernel_K", broken_kernel)
+    with pytest.raises(NotImplementedError, match="bug in the kernel"):
+        run_command(["kernel-bound", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_all_failed_kernel_sweep_exits_1(tmp_path, capsys) -> None:
+    config = _write(
+        tmp_path / "c.json",
+        {"tolerances": {"maxEvals": 100}, "grids": {"sGrid": [1.0, 8.0], "yGrid": [0.0, 10.0]}},
+    )
+    rc = run_command(
+        ["kernel-bound", "--config", config, "--gamma-from-lambda", "i", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["warnings"] == ["kernel sweep l0_1: all kernel cells failed"]
+
+
+def test_out_of_annulus_current_atom_is_a_config_error(tmp_path, capsys) -> None:
+    config = _write(tmp_path / "c.json", {"current": {"family": "cauchy", "atom": [2.0, 0.0]}})
+    for command in ("profile", "all"):
+        out = tmp_path / command
+        assert run_command([command, "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error at current.atom" in captured.err
+        assert captured.out == "" and not out.exists()  # no stage ran
+    # checked against the singularity the profile stage runs: the first pair,
+    # or the lambdaOverride pair that replaces them
+    doc = {"current": {"family": "cauchy", "atom": [0.1, 0.0]}}
+    parse_config(doc)  # |alpha| in [e^(-2 pi), 1) at lambda = i
+    with pytest.raises(ConfigError, match="config error at current.atom"):
+        parse_config({**doc, "kernel": {"lambdaOverride": [0.0, 0.1]}})  # [e^(-pi/5), 1)
+
+
 def test_metadata_hash_matches_resolved_config(tmp_path, capsys) -> None:
     rc = run_command(["oracle", "--s0", "2", "--out", str(tmp_path)])
     assert rc == 0

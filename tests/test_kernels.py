@@ -476,6 +476,19 @@ def test_kernel_report_flags_quadrature_failures_and_raises_bugs(monkeypatch):
         kernel_report(RATIO_SQUARE, s_grid=(2.0,), y_grid=(0.0, 10.0))
 
 
+def test_all_failed_kernel_sweep_raises_a_quadrature_error(monkeypatch):
+    # a sweep with no successful cell is a quadrature failure, carrying the
+    # evaluations of every failed call
+    def starved_kernel(sing, s, y, tol=None):
+        raise QuadratureError("budget gone", best=QuadResult(0.0, 1.0, 100))
+
+    monkeypatch.setattr("leafcurrent.kernels.kernel_K", starved_kernel)
+    with pytest.raises(QuadratureError, match="all kernel cells failed") as info:
+        kernel_report(RATIO_SQUARE, s_grid=(2.0, 8.0), y_grid=(0.0, 10.0))
+    assert info.value.best.evaluations == 4 * 100
+    assert math.isnan(info.value.best.value) and math.isnan(info.value.best.error_estimate)
+
+
 def test_kernel_report_cells_count_their_evaluations():
     # the kernel-sweep cells at lambda = i: the default and the config
     # tolerance both stop at the initial panels, so their counts match

@@ -44,7 +44,6 @@ from leafcurrent.recurrence import (
     t_of_s,
     uniformize_leaf,
     visibility_N,
-    visibility_rows,
 )
 
 RATIO_SQUARE = normalize_singularity(1, 1j)  # gamma = 2
@@ -250,8 +249,6 @@ def test_visibility_horizon_guard():
         visibility_N(uni, 0, 0.5, DEFAULT_MAX_HORIZON + 1.0)
     with pytest.raises(ValueError):
         visibility_N(uni, 0, 0.5, 0.0)
-    # explicit override raises the cap
-    assert visibility_N(uni, 0, 3.0, 30.0, max_horizon=40.0) == 1.0
 
 
 @pytest.mark.parametrize("n_theta", [0, 1, 7])
@@ -260,7 +257,7 @@ def test_visibility_needs_eight_angular_nodes(n_theta):
     with pytest.raises(ValueError, match="angular"):
         visibility_N(uni, 0, 0.5, 5.0, n_theta=n_theta)
     with pytest.raises(ValueError, match="angular"):
-        visibility_rows(uni, 0, (0.5, 0.25), 5.0, n_theta=n_theta)
+        visibility_N(uni, 0, (0.5, 0.25), 5.0, n_theta=n_theta)
 
 
 R_GRID_12 = tuple(2.0**-k for k in range(1, 13))
@@ -279,7 +276,7 @@ def _counting_ambient_at(monkeypatch) -> list:
     return seen
 
 
-def test_visibility_rows_make_one_covering_pass_per_target(monkeypatch):
+def test_visibility_grid_makes_one_covering_pass_per_target(monkeypatch):
     # every (t, theta) node reaches the covering map exactly once, in blocks
     # of whole circles (the last one partial at n_t = 21), and the number of
     # radii adds no pass
@@ -294,8 +291,8 @@ def test_visibility_rows_make_one_covering_pass_per_target(monkeypatch):
             for r_grid in (R_GRID_12, R_GRID_12[:1]):
                 seen.clear()
                 rng = None if seed is None else np.random.default_rng(seed)
-                rows = visibility_rows(uni, 0, r_grid, 20.0, n_t=n_t, n_theta=256, rng=rng)
-                assert len(rows) == len(r_grid)
+                values = visibility_N(uni, 0, r_grid, 20.0, n_t=n_t, n_theta=256, rng=rng)
+                assert len(values) == len(r_grid)
                 assert all(xi.ndim == 2 and xi.shape[1] == 256 for xi in seen)
                 assert sum(len(xi) for xi in seen) == n_t
                 assert np.array_equal(np.concatenate(seen), nodes)
@@ -307,7 +304,7 @@ def test_visibility_blocks_bound_the_peak_memory(monkeypatch):
     def peak() -> int:
         tracemalloc.start()
         try:
-            visibility_rows(uni, 0, R_GRID_12, 20.0, n_t=64, n_theta=4096, rng=np.random.default_rng(1))
+            visibility_N(uni, 0, R_GRID_12, 20.0, n_t=64, n_theta=4096, rng=np.random.default_rng(1))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -318,25 +315,27 @@ def test_visibility_blocks_bound_the_peak_memory(monkeypatch):
     assert blocked < whole / 3
 
 
-def test_visibility_rows_match_the_per_radius_loop_on_fixed_angles():
+def test_visibility_grid_matches_the_per_radius_loop_on_fixed_angles():
+    # a scalar radius gives a float, a grid an array with one value per radius
     uni = square_uniformization()
-    rows = visibility_rows(uni, 0, R_GRID_12, 20.0, n_t=32, n_theta=1024)
+    values = visibility_N(uni, 0, R_GRID_12, 20.0, n_t=32, n_theta=1024)
     loop = [visibility_N(uni, 0, r, 20.0, n_t=32, n_theta=1024) for r in R_GRID_12]
-    assert [n for _, n, _ in rows] == loop
+    assert isinstance(values, np.ndarray) and values.shape == (len(R_GRID_12),)
+    assert all(type(n) is float for n in loop)
+    assert values.tolist() == loop
     with pytest.raises(ValueError):
-        visibility_rows(uni, 0, (0.5, 0.0), 20.0)
+        visibility_N(uni, 0, (0.5, 0.0), 20.0)
 
 
-def test_seeded_visibility_rows_share_one_draw():
+def test_seeded_visibility_grid_shares_one_draw():
     uni = square_uniformization()
     kwargs = dict(n_t=32, n_theta=1024)
-    rows = visibility_rows(uni, 0, R_GRID_12, 20.0, rng=np.random.default_rng(11), **kwargs)
-    values = [n for _, n, _ in rows]
+    values = visibility_N(uni, 0, R_GRID_12, 20.0, rng=np.random.default_rng(11), **kwargs).tolist()
     assert values == sorted(values, reverse=True)  # nonincreasing as r shrinks
     assert values[-1] > 0.0
     assert values[0] == visibility_N(uni, 0, R_GRID_12[0], 20.0, rng=np.random.default_rng(11), **kwargs)
     for k in (0, 5):
-        single = visibility_rows(uni, 0, [0.1], 20.0, rng=np.random.default_rng(k), **kwargs)[0][1]
+        single = visibility_N(uni, 0, [0.1], 20.0, rng=np.random.default_rng(k), **kwargs)[0]
         assert single == visibility_N(uni, 0, 0.1, 20.0, rng=np.random.default_rng(k), **kwargs)
 
 
@@ -556,19 +555,13 @@ def test_eta_tracks_norm_times_log_near_singularity():
 
 def test_report_assembles_fixed_order_tables():
     uni = square_uniformization()
-    rep = recurrence_report(
-        uni,
-        r_grid=(0.5, 0.25),
-        R_grid=(5.0, 10.0),
-        horizon=10.0,
-        n_t=64,
-        n_theta=256,
-    )
-    assert isinstance(rep, RecurrenceReport)
-    assert [row[0] for row in rep.visibility_rows] == [0.5, 0.25]
-    for r, n, weighted in rep.visibility_rows:
+    values = visibility_N(uni, 0, (0.5, 0.25), 10.0, n_t=64, n_theta=256)
+    assert values.shape == (2,)
+    for n in values:
         assert 0.0 <= n <= 1.0
-        assert weighted == pytest.approx(n * abs(math.log(r)))
+    rep = recurrence_report(R_grid=(5.0, 10.0))
+    assert isinstance(rep, RecurrenceReport)
+    assert [row[0] for row in rep.horizon_rows] == [5.0, 10.0]
     for R, m_val, dev, mass in rep.horizon_rows:
         assert m_val > 0.0
         assert dev == pytest.approx(m_val - 2.0 * math.pi * R)
@@ -578,13 +571,13 @@ def test_report_assembles_fixed_order_tables():
 
 def test_horizon_row_mass_is_the_pushforward_of_one():
     uni = square_uniformization()
-    rep = recurrence_report(uni, r_grid=(0.5,), R_grid=(5.0, 12.5, 20.0), horizon=5.0, n_t=16, n_theta=64)
+    rep = recurrence_report(R_grid=(5.0, 12.5, 20.0))
     for R, m_val, _, mass in rep.horizon_rows:
         assert m_val == M_of_R(R).value
         assert mass == m_aR_pushforward(uni, R, lambda z, w: np.ones(z.shape))
     for R in (0.0, DEFAULT_MAX_HORIZON + 1.0):
         with pytest.raises(ValueError, match="horizon"):
-            recurrence_report(uni, r_grid=(0.5,), R_grid=(R,), horizon=5.0, n_t=16, n_theta=64)
+            recurrence_report(R_grid=(R,))
 
 
 def test_report_runs_no_quadrature(monkeypatch):
@@ -596,15 +589,17 @@ def test_report_runs_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(quadrature, "integrate_1d", refuse)
     monkeypatch.setattr(recurrence, "integrate_1d", refuse, raising=False)
-    uni = square_uniformization()
-    rep = recurrence_report(uni, r_grid=(0.5,), R_grid=(5.0, 20.0), horizon=5.0, n_t=16, n_theta=64)
+    rep = recurrence_report(R_grid=(5.0, 20.0))
     assert [row[1] for row in rep.horizon_rows] == [M_of_R(5.0).value, M_of_R(20.0).value]
 
 
 def test_report_maps_only_the_visibility_nodes(monkeypatch):
-    # the horizon rows' mass of the constant 1 needs no covering map
+    # the horizon rows' mass of the constant 1 needs no covering map, so the
+    # visibility grid and the report together map the visibility nodes only
     uni = square_uniformization()
     seen = _counting_ambient_at(monkeypatch)
-    rep = recurrence_report(uni, r_grid=(0.5, 0.25), R_grid=(5.0, 20.0), horizon=10.0, n_t=16, n_theta=256)
+    rep = recurrence_report(R_grid=(5.0, 20.0))
     assert len(rep.horizon_rows) == 2
+    assert seen == []
+    visibility_N(uni, 0, (0.5, 0.25), 10.0, n_t=16, n_theta=256)
     assert sum(xi.size for xi in seen) == 16 * 256
