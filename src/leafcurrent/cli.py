@@ -21,7 +21,8 @@ One tolerance rule holds for every quadrature stage: a ``tolerances``
 section or ``--tol`` that changes the default document's values reaches
 ``kernel-bound`` and ``profile`` alike; otherwise each stage uses its own
 default (``kernel_K``: its rounding floor, below 1e-13 of ``K`` on the
-default grids; ``mass_F``: 1e-8 of ``F``).
+default grids; ``mass_F``: 1e-8 of ``F``).  The absolute part of a profile
+tolerance targets ``G = F/r^2``, as everywhere in the mass family.
 
 Exit codes: 0 on success; 1 when a quadrature stage failed to converge
 (partial reports are still written, with the failure flagged in the
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
+from . import __version__
 from .config import (
     _PROFILE_FAMILIES,
     ConfigError,
@@ -70,8 +72,8 @@ from .kernels import (
 )
 from .mass import mass_profile
 from .quadrature import QuadratureError, Tolerance
-from .recurrence import recurrence_report, uniformize_leaf, visibility_N
-from .reports import ReportBundle, Table, config_hash, emit_reports, format_number, tool_version
+from .recurrence import recurrence_report, visibility_N
+from .reports import ReportBundle, Table, config_hash, emit_reports, format_number
 
 __all__ = ["build_parser", "run_command", "main"]
 
@@ -107,9 +109,10 @@ class _RunState:
 
         This is the one tolerance rule of every quadrature stage: a
         ``tolerances`` section or ``--tol`` that changes the default reaches
-        ``kernel_report`` and ``mass_profile`` as given (``mass_profile``
-        applying its absolute target to ``G = F/r^2``); otherwise each stage
-        runs its own default, which is relative to the quantity it computes.
+        ``kernel_report`` and ``mass_profile`` as given.  Its ``absTol``
+        targets ``K`` in the kernel stage and ``G = F/r^2`` in the profile
+        stage, as it does everywhere in the mass family; otherwise each
+        stage runs its own default.
         """
         if self.cfg.resolved["tolerances"] == default_document()["tolerances"]:
             return None
@@ -250,15 +253,8 @@ def _target_tag(target) -> str:
 
 def _run_recurrence(state: _RunState) -> None:
     cfg = state.cfg
-    sing = cfg.singularities()[0]
     rec = cfg.recurrence
-    alpha = rec.atom if rec.atom is not None else complex(math.exp(-math.pi * sing.b))
-    zeta = complex((rec.base_t - sing.a * rec.base_v) / sing.b, rec.base_v)
-    try:
-        uni = uniformize_leaf(sing, alpha, zeta)
-    except ValueError as exc:
-        raise ConfigError(f"config error at recurrence: {exc}") from None
-
+    uni = cfg.recurrence_leaf()
     for index, target in enumerate(rec.targets):
         rng = np.random.default_rng((cfg.seed, index)) if rec.monte_carlo else None
         values = visibility_N(uni, target, cfg.r_grid, rec.horizon, n_t=rec.n_t, n_theta=rec.n_theta, rng=rng)
@@ -367,19 +363,15 @@ def run_command(argv) -> int:
         return 2
 
     state = _RunState(cfg=cfg)
-    try:
-        for runner in _RUNNERS[args.command]:
-            runner(state)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    for runner in _RUNNERS[args.command]:
+        runner(state)
 
     bundle = ReportBundle(
         metadata={
             "command": args.command,
             "configHash": config_hash(cfg.resolved),
             "seed": cfg.seed,
-            "toolVersion": tool_version(),
+            "toolVersion": __version__,
         },
         tables=tuple(state.tables),
         warnings=tuple(state.warnings),

@@ -36,6 +36,7 @@ from .currents import (
 from .geometry import NonHyperbolicError, Singularity, in_fundamental_annulus, normalize_singularity
 from .mass import _check_radius
 from .quadrature import Tolerance
+from .recurrence import LeafUniformization, uniformize_leaf
 
 if TYPE_CHECKING:
     import jsonschema
@@ -231,6 +232,14 @@ class ExperimentConfig:
             )
         return {label: spec}
 
+    def recurrence_leaf(self) -> LeafUniformization:
+        """The recurrence stage's leaf, through ``recurrence.atom`` or else ``e^{-pi b}``."""
+        sing = self.singularities()[0]
+        rec = self.recurrence
+        alpha = rec.atom if rec.atom is not None else complex(math.exp(-math.pi * sing.b))
+        zeta = complex((rec.base_t - sing.a * rec.base_v) / sing.b, rec.base_v)
+        return uniformize_leaf(sing, alpha, zeta)
+
 
 def _validate_schema(doc: Mapping) -> None:
     # imported on the first validation: a process that never parses a
@@ -323,20 +332,28 @@ def parse_config(document: Mapping | None, overrides: Mapping | None = None) -> 
         horizon=float(rec_doc["horizon"]),
     )
 
+    # the profile and recurrence stages run the first singularity, each on a
+    # leaf through its given atom or the mid-annulus e^{-pi b}, which
+    # underflows to 0 for b above about 237
+    sing = normalize_singularity(*pairs[0])
     current = resolved["current"]
+    current_atom = None
     if isinstance(current, Mapping):
         _build_profile(current)  # fail fast on family/parameter mismatches
         if current.get("atom") is not None:
-            # the profile stage runs the first singularity
-            atom = _decode_complex(current["atom"], "current.atom")
-            sing = normalize_singularity(*pairs[0])
-            if not in_fundamental_annulus(sing, atom):
+            current_atom = _decode_complex(current["atom"], "current.atom")
+            if current_atom == 0 or not in_fundamental_annulus(sing, current_atom):
                 raise ConfigError(
-                    f"config error at current.atom: {atom} lies outside the fundamental "
+                    f"config error at current.atom: {current_atom} lies outside the fundamental "
                     f"annulus [e^(-2 pi b), 1) of the first singularity, b={sing.b}"
                 )
+    if math.exp(-math.pi * sing.b) == 0.0 and None in (current_atom, recurrence.atom):
+        where = "kernel.lambdaOverride" if lam_override is not None else "singularity.0"
+        raise ConfigError(
+            f"config error at {where}: the default atom e^(-pi b) underflows to 0 at b={sing.b}"
+        )
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         singularity_pairs=tuple(pairs),
         current=current,
         r_grid=r_grid,
@@ -354,6 +371,11 @@ def parse_config(document: Mapping | None, overrides: Mapping | None = None) -> 
         recurrence=recurrence,
         resolved=resolved,
     )
+    try:
+        config.recurrence_leaf()
+    except ValueError as exc:
+        raise ConfigError(f"config error at recurrence: {exc}") from None
+    return config
 
 
 def load_config(path: str, overrides: Mapping | None = None) -> ExperimentConfig:

@@ -119,7 +119,6 @@ def poisson_eval(
     U: float,
     V: float,
     *,
-    tol: Tolerance | None = None,
     support_bound: float | None = None,
     break_points: tuple[float, ...] = (),
 ) -> QuadResult:
@@ -129,10 +128,10 @@ def poisson_eval(
     ``H(y) V / (pi ((y-U)^2 + V^2))`` over the support of ``H``, split at the
     kernel's own scale points ``U - V, U, U + V`` and at the profile's kinks.
     ``H`` must evaluate elementwise on arrays and stay finite up to ``|y| ~ 1e308``.
+    The tolerance is the module's ``1e-10`` relative, ``1e-13`` absolute.
     """
     if not V > 0.0:
         raise ValueError("evaluation point must lie in the open upper half plane")
-    tol = tol or _DEFAULT_TOL
 
     def integrand(y):
         r = np.hypot(y - U, V)  # (y - U)^2 would overflow on the far tail nodes
@@ -143,10 +142,10 @@ def poisson_eval(
     else:
         lo, hi = -support_bound, support_bound
     breaks = [U - V, U, U + V, *break_points]
-    return integrate_1d(integrand, lo, hi, tol=tol, break_points=breaks)
+    return integrate_1d(integrand, lo, hi, tol=_DEFAULT_TOL, break_points=breaks)
 
 
-def profile_extension(profile: BoundaryProfile, U, V, *, tol: Tolerance | None = None):
+def profile_extension(profile: BoundaryProfile, U, V):
     """Harmonic extension of ``profile`` at ``U + iV`` (vectorized).
 
     Uses the profile's closed form when available and falls back to the
@@ -161,7 +160,6 @@ def profile_extension(profile: BoundaryProfile, U, V, *, tol: Tolerance | None =
             profile.evaluate,
             float(Ub[idx]),
             float(Vb[idx]),
-            tol=tol,
             support_bound=profile.support_bound,
             break_points=profile.break_points,
         ).value
@@ -430,7 +428,6 @@ def integrability_mass(
     spec: CurrentSpec,
     sing: Singularity,
     *,
-    tol: Tolerance | None = None,
     window: float = 1e6,
 ) -> IntegrabilityReport:
     """Weighted boundary mass ``sum_k w_k int H_k(y) (1+|y|)^{1/gamma-1} dy``.
@@ -438,9 +435,9 @@ def integrability_mass(
     Finiteness of this integral is equivalent to locally finite mass of the
     current near the singular point.  Profiles with decay exponent at most
     ``1/gamma`` make it diverge; the report then carries a truncated lower
-    bound over ``|y| <= window`` with ``converged=False``.
+    bound over ``|y| <= window`` with ``converged=False``.  The tolerance is
+    :func:`poisson_eval`'s.
     """
-    tol = tol or _DEFAULT_TOL
     inv_gamma = 1.0 / sing.gamma
     chi_mass = 0.0
     err_total = 0.0
@@ -459,7 +456,7 @@ def integrability_mass(
             lo, hi = -window, window
             converged = False
             used_window = window
-        res = integrate_1d(integrand, lo, hi, tol=tol, break_points=[0.0, *prof.break_points])
+        res = integrate_1d(integrand, lo, hi, tol=_DEFAULT_TOL, break_points=[0.0, *prof.break_points])
         chi_mass += w * res.value
         err_total += w * res.error_estimate
     return IntegrabilityReport(

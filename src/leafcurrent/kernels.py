@@ -248,11 +248,11 @@ def kernel_uv_form(sing: Singularity, s: float, y: float, tol: Tolerance | None 
     return quadrature.integrate_2d(integrand, s, gamma + 1.0, tol).value
 
 
-def exp_moment_oracle(s0: float, tol: Tolerance | None = None) -> float:
-    """Quadrature of ``int_{s0}^inf s e^{2 s0 - 2 s} ds`` (equals s0/2 + 1/4)."""
+def exp_moment_oracle(s0: float) -> float:
+    """Quadrature of ``int_{s0}^inf s e^{2 s0 - 2 s} ds`` (equals s0/2 + 1/4) to ``1e-10``."""
     if s0 < 1.0:
         raise ValueError("s0 must be at least 1")
-    tol = tol or Tolerance(rel_tol=1e-10, abs_tol=1e-12, max_evals=500_000)
+    tol = Tolerance(rel_tol=1e-10, abs_tol=1e-12, max_evals=500_000)
     # e^{-1600} and e^{2 s0 - 2x} are both 0 wherever the clamp acts, and the
     # clamp keeps 2x from overflowing at the tail chart's farthest nodes
     return integrate_1d(lambda x: x * np.exp(2.0 * np.maximum(s0 - x, -800.0)), s0, math.inf, tol=tol).value
@@ -742,17 +742,17 @@ def kernel_report(
     )
 
 
-def case_decay_slope(sing: Singularity, s_values, y: float = 0.0, tol: Tolerance | None = None):
-    """Least-squares slope of ``log K_s(y)`` against ``log s``.
+def case_decay_slope(sing: Singularity, s_values):
+    """Least-squares slope of ``log K_s(0)`` against ``log s``.
 
-    In the regime ``s >> (1+|y|)^{1/gamma}`` the kernel decays like
-    ``s^{1 - gamma}``, so the fitted slope should settle near ``1 - gamma``
-    (slightly above it at finite ``s``).  Returns ``(slope, values)``.
+    For ``s >> 1`` the kernel decays like ``s^{1 - gamma}``, so the fitted
+    slope should settle near ``1 - gamma`` (slightly above it at finite
+    ``s``).  Returns ``(slope, values)``.
     """
     s_values = sorted(float(s) for s in s_values)
     if len(s_values) < 2:
         raise ValueError("need at least two s values")
-    ks = [kernel_K(sing, s, y, tol).value for s in s_values]
+    ks = [kernel_K(sing, s, 0.0).value for s in s_values]
     logs = np.log(np.asarray(s_values))
     logk = np.log(np.asarray(ks))
     slope = float(np.polyfit(logs, logk, 1)[0])

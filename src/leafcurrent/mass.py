@@ -58,12 +58,17 @@ def default_r_grid(levels: int = 12) -> tuple[float, ...]:
     return tuple(2.0**-k for k in range(1, levels + 1))
 
 
+# Default tolerances of mass_F and mass_upper_intermediate; as every ``tol``
+# of the mass family, their ``abs_tol`` targets the value divided by r^2
+_MASS_TOL = Tolerance(rel_tol=1e-8, abs_tol=1e-16, max_evals=4_000_000)
+_UPPER_TOL = Tolerance(rel_tol=1e-7, abs_tol=1e-12, max_evals=4_000_000)
+
 # Smallest supported radius: below it the default absolute floor of
-# ``mass_F``, ``1e-16 r^2``, leaves the normal double range, and ``F ~ r^2 G``
-# itself nears the subnormal range, where the quadrature loses its relative
-# accuracy (at ``r = 1e-154`` that floor is 0, and ``mass_upper_intermediate``
-# exhausts its budget).
-_MIN_RADIUS = math.sqrt(sys.float_info.min / 1e-16)
+# ``mass_F`` on ``F``, ``1e-16 r^2``, leaves the normal double range, and
+# ``F ~ r^2 G`` itself nears the subnormal range, where the quadrature loses
+# its relative accuracy (at ``r = 1e-154`` that floor is 0, and
+# ``mass_upper_intermediate`` exhausts its budget).
+_MIN_RADIUS = math.sqrt(sys.float_info.min / _MASS_TOL.abs_tol)
 
 
 def _check_radius(r: float) -> None:
@@ -103,11 +108,13 @@ def _corner_mass(
 
     ``chart(T, V)`` returns the leaf coordinates ``(t, v)`` at which the
     extension is taken and the weight ``w`` it is integrated against; each
-    profile is one :func:`~leafcurrent.quadrature.integrate_2d` call.  A
-    shortfall, of the budget or of the tail bound, re-raises
-    :class:`QuadratureError` whose ``best`` is the weighted sum so far, the
-    failed profile's estimate included.
+    profile is one :func:`~leafcurrent.quadrature.integrate_2d` call.
+    ``tol.abs_tol`` targets the value divided by ``r^2`` and is scaled here,
+    the one place the mass family does so.  A shortfall, of the budget or of
+    the tail bound, re-raises :class:`QuadratureError` whose ``best`` is the
+    weighted sum so far, the failed profile's estimate included.
     """
+    tol = replace(tol, abs_tol=tol.abs_tol * r * r)
     s_r = -math.log(r)
     a, b, gamma = sing.a, sing.b, sing.gamma
     total, err, evals = 0.0, 0.0, 0
@@ -147,14 +154,15 @@ def mass_F(
     element ``(e^{-2v} + |lam|^2 e^{-2t}) * 2 du dv`` over the exact ball
     region, pulled back onto the corner ``{min(T, V) >= -log r}`` (see the
     module docstring).  Nonnegative, and nondecreasing in ``r``.  The
-    default tolerance is relative, ``1e-8``, with an absolute floor of
-    ``1e-16 r^2``.  Radii below about ``1.49e-146`` raise ``ValueError``:
-    that floor and the mass itself leave the normal double range there.
+    tolerance's ``rel_tol`` is relative to ``F`` and its ``abs_tol`` targets
+    ``G = F/r^2``, the same accuracy in ``G`` at every radius; the default
+    is ``1e-8`` relative with an absolute floor of ``1e-16`` on ``G``.
+    Radii below about ``1.49e-146`` raise ``ValueError``: that floor times
+    ``r^2`` and the mass itself leave the normal double range there.
     """
     _check_radius(r)
     spec.validate_against(sing)
-    if tol is None:
-        tol = Tolerance(rel_tol=1e-8, abs_tol=1e-16 * r * r, max_evals=4_000_000)
+    tol = tol or _MASS_TOL
     s_r = -math.log(r)
     lam_sq = abs(sing.lam) ** 2
 
@@ -179,26 +187,19 @@ def mass_upper_intermediate(
     is dominated by ``(1+|lam|)^2 e^{-2 min(v, t)}``, so this quantity always
     dominates :func:`mass_F` at the same radius.  It is also the
     kernel-weighted boundary mass of :func:`bound_G_via_kernel` (Fubini),
-    up to the factor ``2 (1+|lam|)^2 r^2 / pi``.  The tolerance, including
-    its absolute part, targets the returned value.  Like :func:`mass_F`, it
-    raises :class:`QuadratureError` for a profile whose mass diverges, and
-    its smallest radius is ``mass_F``'s.
+    up to the factor ``2 (1+|lam|)^2 r^2 / pi``.  As for :func:`mass_F`,
+    ``tol.abs_tol`` targets the returned value divided by ``r^2``; the
+    default is ``1e-7`` relative with an absolute floor of ``1e-12`` there.
+    Like :func:`mass_F`, it raises :class:`QuadratureError` for a profile
+    whose mass diverges, and its smallest radius is ``mass_F``'s.
     """
     _check_radius(r)
     spec.validate_against(sing)
-    tol = tol or Tolerance(rel_tol=1e-7, abs_tol=1e-12 * r * r, max_evals=4_000_000)
+    tol = tol or _UPPER_TOL
     speed = (1.0 + abs(sing.lam)) ** 2
     return _corner_mass(
         spec, sing, r, tol, lambda T, V: (T, V, speed * np.exp(-2.0 * np.minimum(T, V)))
     )
-
-
-def _tolerance_for_G(tol: Tolerance | None, r: float) -> Tolerance | None:
-    """The :func:`mass_F` tolerance at radius ``r`` that makes ``tol`` target ``G = F/r^2``.
-
-    ``abs_tol`` is scaled by ``r^2``; ``None`` keeps :func:`mass_F`'s default.
-    """
-    return None if tol is None else replace(tol, abs_tol=tol.abs_tol * r * r)
 
 
 @dataclass(frozen=True)
@@ -233,9 +234,8 @@ def mass_profile(
 ) -> MassProfile:
     """Evaluate ``F`` and ``G`` over a strictly decreasing radius grid.
 
-    An explicit ``tol`` targets ``G = F/r^2``: its ``abs_tol`` is scaled by
-    ``r^2`` at each radius before it reaches :func:`mass_F`, so the same
-    tolerance means the same accuracy in ``G`` at every radius.
+    ``tol`` reaches :func:`mass_F` at every radius as given, so its
+    ``abs_tol`` targets ``G = F/r^2`` there.
     """
     grid = tuple(float(r) for r in (default_r_grid() if r_grid is None else r_grid))
     if not grid:
@@ -245,7 +245,7 @@ def mass_profile(
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("radius grid must be strictly decreasing")
 
-    results = [mass_F(spec, sing, r, _tolerance_for_G(tol, r)) for r in grid]
+    results = [mass_F(spec, sing, r, tol) for r in grid]
 
     F = tuple(res.value for res in results)
     G = tuple(res.value / (r * r) for res, r in zip(results, grid))
@@ -293,14 +293,14 @@ def profile_decay_slope(profile: MassProfile, min_log_r: float = 2.0) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def g_profile(sing: Singularity, s: float, y: float, tol: Tolerance | None = None) -> float:
+def g_profile(sing: Singularity, s: float, y: float) -> float:
     """Rescaled kernel ``K_s(y) * (1+|y|)^{1 - 1/gamma}``.
 
     This family is uniformly bounded in ``(s, y)`` and tends to zero
     pointwise as ``s`` grows — the dominated-convergence input for the
     vanishing of the density at the origin.  Independent of any current.
     """
-    k = kernel_K(sing, s, y, tol)
+    k = kernel_K(sing, s, y)
     return k.value * (1.0 + abs(y)) ** (1.0 - 1.0 / sing.gamma)
 
 
@@ -328,20 +328,22 @@ def bound_G_via_kernel(
 
     The right member dominates the left up to a fixed constant of the
     singularity; both are returned so callers can track the empirical ratio.
-    An explicit ``tol`` targets ``G`` as in :func:`mass_profile`.
+    ``tol`` reaches :func:`mass_F` as given, so its ``abs_tol`` targets
+    ``G``.
 
     By default (``y_order=None``) the right member is exact: by Fubini it is
     ``pi * mass_upper_intermediate / (2 (1+|lam|)^2 r^2)``, one 2D
-    quadrature on the profile's extension, whose ``tol`` is scaled as for
-    ``G``.  An integer ``y_order`` instead integrates ``H(y) K_s(y)`` on
-    Gauss-Legendre panels of that order in ``y`` (doubling it is the natural
-    refinement study), with ``tol`` reaching each
-    :func:`~leafcurrent.kernels.kernel_K` call unchanged; a decaying profile
-    is cut there at ``|y| = 10^6`` without an error term.
+    quadrature on the profile's extension that takes ``tol`` as given too,
+    so its ``abs_tol`` targets the right member times
+    ``2 (1+|lam|)^2 / pi``.  An integer ``y_order`` instead integrates
+    ``H(y) K_s(y)`` on Gauss-Legendre panels of that order in ``y``
+    (doubling it is the natural refinement study), with ``tol`` reaching
+    each :func:`~leafcurrent.kernels.kernel_K` call unchanged; a decaying
+    profile is cut there at ``|y| = 10^6`` without an error term.
     """
-    lhs = mass_F(spec, sing, r, _tolerance_for_G(tol, r)).value / (r * r)
+    lhs = mass_F(spec, sing, r, tol).value / (r * r)
     if y_order is None:
-        upper = mass_upper_intermediate(spec, sing, r, _tolerance_for_G(tol, r)).value
+        upper = mass_upper_intermediate(spec, sing, r, tol).value
         return lhs, math.pi * upper / (2.0 * (1.0 + abs(sing.lam)) ** 2 * r * r)
     s = -math.log(r)
     nodes, weights = leggauss(y_order)

@@ -394,8 +394,9 @@ def M_of_R(R: float) -> QuadResult:
     return QuadResult(value, 4.0 * math.ulp(value), 0)
 
 
-# radial nodes of the pushforward's midpoint rule
+# radial and angular nodes of the pushforward's midpoint and trapezoid rules
 _PUSHFORWARD_N_T = 512
+_PUSHFORWARD_N_THETA = 256
 
 
 def _midpoint_mass(R: float, n_t: int, total: float, angular=None) -> float:
@@ -414,13 +415,7 @@ def _midpoint_mass(R: float, n_t: int, total: float, angular=None) -> float:
     return 2.0 * math.pi * float(np.sum(weights) * h) / total
 
 
-def m_aR_pushforward(
-    uni: LeafUniformization,
-    R: float,
-    f,
-    n_t: int = _PUSHFORWARD_N_T,
-    n_theta: int = 256,
-) -> float:
+def m_aR_pushforward(uni: LeafUniformization, R: float, f) -> float:
     """Integral of the ambient function ``f`` against the normalized pushforward.
 
     The measure is the image under the covering map of
@@ -430,23 +425,21 @@ def m_aR_pushforward(
     two equal-shape complex arrays ``(z, w)`` and must return the real array
     of its values.
 
-    The angular direction uses a uniform grid (trapezoid on a periodic
-    integrand); the radial direction uses midpoint on a uniform ``t``-grid,
-    which handles the logarithmic derivative blow-up of the weight at
-    ``t = 0`` without special casing.
+    The angular direction uses a uniform grid of 256 nodes (trapezoid on a
+    periodic integrand); the radial direction uses midpoint on a uniform
+    grid of 512 ``t`` nodes, which handles the logarithmic derivative
+    blow-up of the weight at ``t = 0`` without special casing.
     """
     _check_horizon(R)
-    if n_t < 8 or n_theta < 8:
-        raise ValueError("need at least eight nodes per direction")
 
     def angular(ts):
-        z, w = _covering_image(uni, ts, _circle_angles(len(ts), n_theta))
+        z, w = _covering_image(uni, ts, _circle_angles(len(ts), _PUSHFORWARD_N_THETA))
         values = np.asarray(f(z, w), dtype=float)
         if values.shape != z.shape:
             raise ValueError("f must return one real value per grid node")
         return values.mean(axis=1)  # already includes the 1/(2 pi)
 
-    return _midpoint_mass(R, n_t, M_of_R(R).value, angular)
+    return _midpoint_mass(R, _PUSHFORWARD_N_T, M_of_R(R).value, angular)
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,7 @@ __all__ = [
     "table_to_csv",
     "bundle_to_json",
     "emit_reports",
-    "tool_version",
 ]
-
-
-def tool_version() -> str:
-    """``leafcurrent.__version__``: the same in a source checkout as in an installed copy."""
-    from . import __version__  # at call time: the package imports this module first
-
-    return __version__
 
 
 @dataclass(frozen=True)

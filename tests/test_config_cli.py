@@ -292,6 +292,24 @@ def _write(path: pathlib.Path, doc: dict) -> str:
     return str(path)
 
 
+GOLDEN_DEFAULT = pathlib.Path(__file__).parent / "golden" / "default"
+
+
+def _golden_mismatches(out_dir: pathlib.Path, names=None) -> list[str]:
+    """Each golden default report file, or each of ``names``, that ``out_dir``
+    lacks or writes differently, with its first differing line."""
+    problems = []
+    for name in names or sorted(p.name for p in GOLDEN_DEFAULT.iterdir()):
+        path = out_dir / name
+        if not path.exists():
+            problems.append(f"{name}: not written")
+        elif path.read_bytes() != (GOLDEN_DEFAULT / name).read_bytes():
+            got, want = path.read_text().splitlines(), (GOLDEN_DEFAULT / name).read_text().splitlines()
+            n = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+            problems.append(f"{name} line {n + 1}: {got[n:n + 1]} != golden {want[n:n + 1]}")
+    return problems
+
+
 def test_oracle_prints_documented_example(tmp_path, capsys) -> None:
     rc = run_command(["oracle", "--s0", "1", "--out", str(tmp_path)])
     out = capsys.readouterr().out
@@ -547,6 +565,75 @@ def test_out_of_annulus_current_atom_is_a_config_error(tmp_path, capsys) -> None
         parse_config({**doc, "kernel": {"lambdaOverride": [0.0, 0.1]}})  # [e^(-pi/5), 1)
 
 
+def test_zero_recurrence_atom_is_a_config_error_before_any_stage(tmp_path, capsys) -> None:
+    # the recurrence leaf is built when the config is parsed: `all` once ran
+    # the oracle, kernel, regimes and profile stages (about 2 s) before it
+    # exited 2 with no report
+    config = _write(tmp_path / "c.json", {"recurrence": {"atom": [0, 0]}})
+    for command in ("recurrence", "all"):
+        out = tmp_path / command
+        assert run_command([command, "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error at recurrence: alpha must be nonzero" in captured.err
+        assert captured.out == "" and not out.exists()  # no stage ran
+    with pytest.raises(ConfigError, match="config error at recurrence"):
+        parse_config({"recurrence": {"atom": [0, 0]}})
+
+
+def test_underflowing_default_atom_is_a_config_error(tmp_path, capsys) -> None:
+    # at b = 300 the default atom e^(-300 pi) underflows to 0.0: `profile`
+    # and `all` died with a ValueError traceback, exit 1 and no report
+    doc = {"singularity": [[[1, 0], [0, 300]]]}
+    config = _write(tmp_path / "c.json", doc)
+    for command in ("profile", "all"):
+        out = tmp_path / command
+        assert run_command([command, "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config error at singularity.0: the default atom" in captured.err
+        assert captured.out == "" and not out.exists()  # no stage ran
+    with pytest.raises(ConfigError, match="config error at kernel.lambdaOverride: the default atom"):
+        parse_config(None, {"kernel": {"lambdaOverride": [0.0, 300.0]}})
+    # naming one stage's atom is not enough; naming both is
+    for given in ({"current": {"family": "cauchy"}}, {"recurrence": {"atom": [0.5, 0.0]}}):
+        with pytest.raises(ConfigError, match="config error at singularity.0"):
+            parse_config({**doc, **given})
+    parse_config({**doc, "current": {"family": "cauchy", "atom": [0.5, 0.0]}, "recurrence": {"atom": [0.5, 0.0]}})
+
+
+def test_single_builtin_current_profile_matches_the_default_run(tmp_path, capsys) -> None:
+    # `profile --current cauchy` writes the default run's cauchy rows
+    out = tmp_path / "out"
+    assert run_command(["profile", "--current", "cauchy", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _golden_mismatches(out, ["profile_cauchy.csv"]) == []
+    assert not (out / "profile_triangle.csv").exists()
+
+
+def test_current_weight_scales_the_profile_exactly(tmp_path, capsys) -> None:
+    # the weight multiplies each integral, and doubling is exact in binary
+    # floating point, so F and G are exactly twice the default cauchy values
+    config = _write(tmp_path / "c.json", {"current": {"family": "cauchy", "weight": 2}})
+    assert run_command(["profile", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+    def columns(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        return [(float(r), float(F), float(G)) for r, F, G, *_ in rows]
+
+    got = columns(tmp_path / "out" / "profile_cauchy.csv")
+    golden = columns(GOLDEN_DEFAULT / "profile_cauchy.csv")
+    assert len(got) == len(golden) == 12
+    assert got == [(r, 2.0 * F, 2.0 * G) for r, F, G in golden]
+
+
+def test_real_lambda_override_is_a_config_error(tmp_path, capsys) -> None:
+    config = _write(tmp_path / "c.json", {"kernel": {"lambdaOverride": [2, 0]}})
+    assert run_command(["kernel-bound", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "config error at kernel.lambdaOverride" in captured.err
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 def test_metadata_hash_matches_resolved_config(tmp_path, capsys) -> None:
     rc = run_command(["oracle", "--s0", "2", "--out", str(tmp_path)])
     assert rc == 0
@@ -680,7 +767,15 @@ def test_full_run_and_1d_quadratures_leave_scipy_integrate_unloaded(tmp_path) ->
     # integrate_1d runs on the library's own panel loop, not QUADPACK: a whole
     # default `leafcurrent all` run, the boundary integrability functional and
     # the Poisson integral never load scipy.integrate; the kernel and the
-    # algebraic current load scipy.special
+    # algebraic current load scipy.special.
+    #
+    # The run's 14 files must also equal tests/golden/default byte for byte.
+    # Like the BITWISE_* pins, those bytes belong to the host and the numpy
+    # build that wrote them (x86-64 with AVX-512, numpy 2.4.6): there, 5.3% of
+    # array `**` results differ from libm `pow` in the last bit, so another
+    # host or numpy may shift the last digits.  A change that means to move a
+    # report number rewrites the golden files with `leafcurrent all --out
+    # tests/golden/default` and says why.
     printed, loaded = _loaded_after(
         "import numpy as np; from leafcurrent.cli import run_command; "
         "from leafcurrent.currents import builtin_currents, integrability_mass, poisson_eval; "
@@ -694,7 +789,9 @@ def test_full_run_and_1d_quadratures_leave_scipy_integrate_unloaded(tmp_path) ->
     )
     assert printed == "0 True True"
     assert loaded == {"scipy.special"}
-    assert (tmp_path / "all" / "oracle.csv").exists()
+    mismatches = _golden_mismatches(tmp_path / "all")
+    assert not mismatches, "default reports differ from tests/golden/default:\n" + "\n".join(mismatches)
+    assert sorted(p.name for p in (tmp_path / "all").iterdir()) == sorted(p.name for p in GOLDEN_DEFAULT.iterdir())
 
 
 def test_kernel_cross_check_leaves_scipy_integrate_and_optimize_unloaded() -> None:

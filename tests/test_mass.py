@@ -192,7 +192,7 @@ def test_mass_error_estimate_covers_tight_tolerance_error(label, current, r):
     spec = builtin_currents(sing)[current]
     res = mass_F(spec, sing, r)
     tight = mass_F(
-        spec, sing, r, tol=Tolerance(rel_tol=1e-12, abs_tol=1e-20 * r * r, max_evals=4_000_000)
+        spec, sing, r, tol=Tolerance(rel_tol=1e-12, abs_tol=1e-20, max_evals=4_000_000)
     )
     assert tight.error_estimate < res.error_estimate
     assert res.error_estimate >= abs(res.value - tight.value)
@@ -318,13 +318,14 @@ def test_intermediate_bound_of_too_slowly_decaying_profile_is_reported_divergent
 
 @pytest.mark.parametrize("abs_tol", [1e-5, 1e-6, 1e-7])
 def test_intermediate_bound_absolute_tolerance_targets_the_returned_value(abs_tol):
-    # with the relative target out of reach, the absolute one decides; it
-    # applies to the bound itself, front factor (1+|lam|)^2 2/b = 8 included
+    # with the relative target out of reach, the absolute one decides; as in
+    # mass_F it applies to the returned bound divided by r^2, front factor
+    # (1+|lam|)^2 2/b = 8 included
     cur = default_current(RATIO_SQUARE, cauchy_profile())
     res = mass_upper_intermediate(
         cur, RATIO_SQUARE, 0.25, Tolerance(rel_tol=1e-15, abs_tol=abs_tol, max_evals=4_000_000)
     )
-    assert res.error_estimate <= abs_tol
+    assert res.error_estimate <= abs_tol * 0.25**2
 
 
 def test_intermediate_bound_is_the_kernel_weighted_boundary_mass():
@@ -481,8 +482,8 @@ def test_bound_pair_is_positive_with_moderate_ratio():
 
 
 def test_bound_with_explicit_tolerance_targets_G_like_mass_profile(monkeypatch):
-    # an explicit tolerance targets G = F/r^2: its absolute part is scaled by
-    # r^2 before mass_F, as in mass_profile; the right member is made cheap
+    # an explicit tolerance reaches mass_F as given, as in mass_profile, so
+    # its absolute part targets G = F/r^2; the right member is made cheap
     monkeypatch.setattr(mass, "kernel_K", lambda *args: QuadResult(1.0, 0.0, 0))
     cur = builtin_currents(RATIO_SQUARE)["cauchy"]
     r, tol = 2.0**-12, Tolerance(rel_tol=1e-8, abs_tol=1e-10, max_evals=2_000_000)
